@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <unordered_map>
 #include <utility>
 
-#include "discovery/lsh_index.h"
-#include "discovery/sketch_cache.h"
+#include "obs/memory.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "table/columnar.h"
 #include "table/csv.h"
 #include "util/string_utils.h"
@@ -196,54 +197,158 @@ Result<DatasetRelationGraph> BuildDrgFromKfk(const DataLake& lake,
 
 namespace {
 
-// Every (i, j) pair of the upper triangle, ascending. The triangle above
-// the diagonal has n(n-1)/2 pairs.
-std::vector<std::pair<size_t, size_t>> AllTablePairs(size_t n) {
+using PairScorer = std::function<std::vector<ColumnMatch>(size_t, size_t)>;
+
+// The one score -> store loop behind every discovered DRG: fans the scoring
+// of `pairs` (ascending (i, j) lake positions, i < j) out over `pool`, then
+// writes each pair's matches into `store` oriented i -> j. `score(i, j)`
+// must be safe to call concurrently for distinct pairs.
+void ScorePairsIntoStore(const DataLake& lake,
+                         const std::vector<std::pair<size_t, size_t>>& pairs,
+                         const PairScorer& score, ThreadPool* pool,
+                         obs::MetricsRegistry* metrics, DrgMatchStore& store) {
+  obs::Counter* pairs_scored = obs::GetCounter(metrics, "drg.pairs_scored");
+  obs::Counter* pairs_matched = obs::GetCounter(metrics, "drg.pairs_matched");
+  obs::Counter* edges_added = obs::GetCounter(metrics, "drg.edges_added");
+  std::vector<std::vector<ColumnMatch>> matches =
+      ParallelMap<std::vector<ColumnMatch>>(
+          pool, pairs.size(), /*grain=*/1,
+          [&](size_t p) { return score(pairs[p].first, pairs[p].second); });
+  obs::Increment(pairs_scored, pairs.size());
+  const auto& tables = lake.tables();
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    if (!matches[p].empty()) obs::Increment(pairs_matched);
+    obs::Increment(edges_added, matches[p].size());
+    store.SetMatches(tables[pairs[p].first].name(),
+                     tables[pairs[p].second].name(), std::move(matches[p]));
+  }
+}
+
+// Every (i, j) pair, i < j, with at least one endpoint flagged, ascending.
+std::vector<std::pair<size_t, size_t>> TouchedPairs(
+    const std::vector<bool>& touched) {
   std::vector<std::pair<size_t, size_t>> pairs;
-  if (n > 1) pairs.reserve(n * (n - 1) / 2);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
+  for (size_t i = 0; i < touched.size(); ++i) {
+    for (size_t j = i + 1; j < touched.size(); ++j) {
+      if (touched[i] || touched[j]) pairs.emplace_back(i, j);
+    }
   }
   return pairs;
 }
 
-// Fan the scoring of `pairs` (ascending (i, j) table-index pairs — the full
-// upper triangle or an LSH candidate subset of it) out over `pool` and fold
-// the matches into a DRG sequentially in (i, j) order — edge insertion
-// order (and thus the graph) is independent of the thread count.
-// `score_pair(i, j)` must be safe to call concurrently for distinct pairs.
-Result<DatasetRelationGraph> BuildDrgFromPairScores(
-    const DataLake& lake, const std::vector<std::pair<size_t, size_t>>& pairs,
-    ThreadPool* pool, obs::MetricsRegistry* metrics,
-    const std::function<std::vector<ColumnMatch>(size_t, size_t)>&
-        score_pair) {
-  obs::Counter* pairs_scored = obs::GetCounter(metrics, "drg.pairs_scored");
-  obs::Counter* pairs_matched = obs::GetCounter(metrics, "drg.pairs_matched");
-  obs::Counter* edges_added = obs::GetCounter(metrics, "drg.edges_added");
-  DatasetRelationGraph drg;
-  for (const auto& table : lake.tables()) drg.AddNode(table.name());
-  const auto& tables = lake.tables();
-
-  std::vector<std::vector<ColumnMatch>> matches =
-      ParallelMap<std::vector<ColumnMatch>>(
-          pool, pairs.size(), /*grain=*/1, [&](size_t p) {
-            return score_pair(pairs[p].first, pairs[p].second);
-          });
-  obs::Increment(pairs_scored, pairs.size());
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    const auto& [i, j] = pairs[p];
-    if (!matches[p].empty()) obs::Increment(pairs_matched);
-    for (const auto& match : matches[p]) {
-      AF_RETURN_NOT_OK(drg.AddEdge(tables[i].name(), match.left_column,
-                                   tables[j].name(), match.right_column,
-                                   match.score));
-      obs::Increment(edges_added);
-    }
-  }
-  return drg;
-}
-
 }  // namespace
+
+Result<TouchedMatchStats> MatchTouchedTables(
+    const DataLake& lake, const std::vector<std::string>& touched,
+    LakeSketchCache& cache, const MatchOptions& options,
+    LshCandidateIndex& lsh, DrgMatchStore& store, ThreadPool* pool,
+    obs::MetricsRegistry* metrics) {
+  const auto& tables = lake.tables();
+  const size_t n = tables.size();
+  std::unordered_map<std::string, size_t> position;
+  for (size_t i = 0; i < n; ++i) position[tables[i].name()] = i;
+  std::vector<bool> flagged(n, false);
+  std::vector<size_t> touched_at;
+  for (const std::string& name : touched) {
+    auto it = position.find(name);
+    if (it == position.end()) {
+      return Status::KeyError("touched table not in lake: " + name);
+    }
+    if (!flagged[it->second]) touched_at.push_back(it->second);
+    flagged[it->second] = true;
+  }
+  const size_t k = touched_at.size();
+  TouchedMatchStats stats;
+  stats.pairs_touched = k * (n - k) + k * (k - 1) / 2;
+
+  // Candidate generation. LSH filtering is sound only while every
+  // reportable edge needs value overlap (a collision witness); when the
+  // threshold is reachable on name evidence alone, every touched pair is
+  // scored instead of silently dropping name-only edges.
+  std::vector<std::pair<size_t, size_t>> pairs;
+  if (options.candidate_mode == CandidateMode::kLsh &&
+      options.threshold > options.name_weight) {
+    obs::TaskContext ctx = obs::CaptureTaskContext(
+        pool != nullptr && k > 0 ? pool->tracer() : nullptr);
+    std::vector<std::vector<ColumnLshProfile>> profiles =
+        ParallelMap<std::vector<ColumnLshProfile>>(
+            pool, k, /*grain=*/1, [&](size_t t) {
+              obs::ScopedWorkerSpan span(ctx, "sketch.minhash");
+              LakeSketchCache::TableSketchesPin pin =
+                  cache.GetOrBuild(touched_at[t]);
+              return ComputeTableLshProfiles(tables[touched_at[t]], *pin,
+                                             lsh.options());
+            });
+    size_t columns_indexed = 0, columns_skipped = 0, signature_bytes = 0;
+    for (size_t t = 0; t < k; ++t) {
+      for (const ColumnLshProfile& profile : profiles[t]) {
+        ++(profile.indexed() ? columns_indexed : columns_skipped);
+        signature_bytes += profile.signature_bytes;
+      }
+      lsh.AddTable(tables[touched_at[t]].name(), profiles[t]);
+    }
+    // The whole index's candidates when every table is touched, else the
+    // union of the touched tables' partners; ascending lake positions.
+    auto add = [&](const std::string& a, const std::string& b) {
+      auto i = position.find(a);
+      auto j = position.find(b);
+      if (i == position.end() || j == position.end()) return;
+      pairs.emplace_back(std::min(i->second, j->second),
+                         std::max(i->second, j->second));
+    };
+    size_t collisions = 0;
+    if (k == n) {
+      for (const auto& [a, b] : lsh.CandidatePairs(&collisions)) add(a, b);
+    } else {
+      for (size_t t : touched_at) {
+        for (const auto& u : lsh.Partners(tables[t].name())) {
+          add(tables[t].name(), u);
+        }
+      }
+    }
+    std::sort(pairs.begin(), pairs.end());
+    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+    for (const auto& [name, value] :
+         {std::pair<const char*, size_t>{"lsh.bands", lsh.options().num_bands},
+          {"lsh.signature_bytes", signature_bytes},
+          {"lsh.columns_indexed", columns_indexed},
+          {"lsh.columns_skipped", columns_skipped},
+          {"lsh.bucket_collisions", collisions}}) {
+      obs::Increment(obs::GetCounter(metrics, name), value);
+    }
+    // The index, the signatures its band keys were cut from and the
+    // candidate list it emitted.
+    const size_t bytes = lsh.ApproxBytes() + signature_bytes +
+                         pairs.size() * sizeof(pairs[0]);
+    obs::AddBytesWithPeak(obs::GetGauge(metrics, "lsh_index.bytes"),
+                          obs::GetGauge(metrics, "lsh_index.bytes_peak"),
+                          static_cast<int64_t>(bytes));
+  } else {
+    pairs = TouchedPairs(flagged);
+  }
+  stats.pairs_scored = pairs.size();
+  obs::Increment(obs::GetCounter(metrics, "drg.candidate_pairs"),
+                 stats.pairs_scored);
+  obs::Increment(obs::GetCounter(metrics, "drg.pairs_pruned"),
+                 stats.pairs_pruned());
+
+  // Each pair served from the cache would have re-sketched both tables'
+  // columns under the naive formulation — that saved work is the hit count.
+  obs::Counter* sketch_hits = obs::GetCounter(metrics, "sketch_cache.hits");
+  ScorePairsIntoStore(
+      lake, pairs,
+      [&](size_t i, size_t j) {
+        obs::Increment(sketch_hits,
+                       tables[i].num_columns() + tables[j].num_columns());
+        // Pins keep both entries alive for the duration of the match even
+        // if a concurrent pair's rebuild evicts them under a budget.
+        LakeSketchCache::TableSketchesPin left = cache.GetOrBuild(i);
+        LakeSketchCache::TableSketchesPin right = cache.GetOrBuild(j);
+        return MatchSchemas(tables[i], *left, tables[j], *right, options);
+      },
+      pool, metrics, store);
+  return stats;
+}
 
 Result<DatasetRelationGraph> BuildDrgByDiscovery(const DataLake& lake,
                                                  const MatchOptions& options,
@@ -254,41 +359,13 @@ Result<DatasetRelationGraph> BuildDrgByDiscovery(const DataLake& lake,
   LakeSketchCache cache =
       LakeSketchCache::Build(lake, options.max_sample_values, pool, metrics,
                              options.memory_budget_bytes);
-
-  // Candidate generation. LSH filtering is sound only while every
-  // reportable edge needs value overlap (a collision witness); when the
-  // threshold is reachable on name evidence alone, fall back to the
-  // exhaustive sweep instead of silently dropping name-only edges.
-  const size_t n = lake.num_tables();
-  const size_t total_pairs = n > 1 ? n * (n - 1) / 2 : 0;
-  std::vector<std::pair<size_t, size_t>> pairs;
-  if (options.candidate_mode == CandidateMode::kLsh &&
-      options.threshold > options.name_weight) {
-    LshCandidateIndex lsh =
-        LshCandidateIndex::Build(lake, cache, options.lsh, pool, metrics);
-    pairs = lsh.candidate_table_pairs();
-  } else {
-    pairs = AllTablePairs(lake.num_tables());
-  }
-  obs::Increment(obs::GetCounter(metrics, "drg.candidate_pairs"),
-                 pairs.size());
-  obs::Increment(obs::GetCounter(metrics, "drg.pairs_pruned"),
-                 total_pairs - pairs.size());
-
-  // Each pair served from the cache would have re-sketched both tables'
-  // columns under the naive formulation — that saved work is the hit count.
-  obs::Counter* sketch_hits = obs::GetCounter(metrics, "sketch_cache.hits");
-  const auto& tables = lake.tables();
-  return BuildDrgFromPairScores(
-      lake, pairs, pool, metrics, [&](size_t i, size_t j) {
-        obs::Increment(sketch_hits,
-                       tables[i].num_columns() + tables[j].num_columns());
-        // Pins keep both entries alive for the duration of the match even
-        // if a concurrent pair's rebuild evicts them under a budget.
-        LakeSketchCache::TableSketchesPin left = cache.GetOrBuild(i);
-        LakeSketchCache::TableSketchesPin right = cache.GetOrBuild(j);
-        return MatchSchemas(tables[i], *left, tables[j], *right, options);
-      });
+  LshCandidateIndex lsh(options.lsh);
+  DrgMatchStore store;
+  const std::vector<std::string> names = lake.TableNames();
+  AF_RETURN_NOT_OK(MatchTouchedTables(lake, names, cache, options, lsh, store,
+                                      pool, metrics)
+                       .status());
+  return store.BuildGraph(names);
 }
 
 Result<DatasetRelationGraph> BuildDrgWithMatcher(
@@ -297,9 +374,12 @@ Result<DatasetRelationGraph> BuildDrgWithMatcher(
         matcher,
     ThreadPool* pool, obs::MetricsRegistry* metrics) {
   const auto& tables = lake.tables();
-  return BuildDrgFromPairScores(
-      lake, AllTablePairs(tables.size()), pool, metrics,
-      [&](size_t i, size_t j) { return matcher(tables[i], tables[j]); });
+  DrgMatchStore store;
+  ScorePairsIntoStore(
+      lake, TouchedPairs(std::vector<bool>(tables.size(), true)),
+      [&](size_t i, size_t j) { return matcher(tables[i], tables[j]); }, pool,
+      metrics, store);
+  return store.BuildGraph(lake.TableNames());
 }
 
 }  // namespace autofeat

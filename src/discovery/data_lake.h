@@ -175,36 +175,59 @@ class DataLake {
 Result<DatasetRelationGraph> BuildDrgFromKfk(
     const DataLake& lake, obs::MetricsRegistry* metrics = nullptr);
 
-/// Data-lake setting: ignores KFK metadata and runs the schema matcher over
-/// candidate table pairs; matches at or above options.threshold become
-/// edges weighted by their similarity score.
+/// \brief Pair tallies of one MatchTouchedTables call.
+struct TouchedMatchStats {
+  /// Pairs of the lake with at least one touched endpoint.
+  size_t pairs_touched = 0;
+  /// The candidates among them, which were scored.
+  size_t pairs_scored = 0;
+
+  size_t pairs_pruned() const { return pairs_touched - pairs_scored; }
+};
+
+/// The one data-lake DRG match step, shared by cold builds (every table
+/// touched, empty store) and incremental maintenance (the mutated table
+/// touched, its stale pairs purged first). Enumerates the pairs of `lake`
+/// with an endpoint in `touched` (lake table names); under kLsh it
+/// (re-)indexes the touched tables in `lsh` (built with options.lsh and
+/// holding every untouched table) and keeps only candidates, unless
+/// threshold <= name_weight lets name-only edges through, which no
+/// collision witnesses; scores the pairs with MatchSchemas over pinned
+/// `cache` sketches, fanning out over `pool`; and writes each pair's
+/// matches into `store` (an empty list erases the pair). Results are
+/// identical at any thread count.
 ///
-/// Every column is sketched exactly once (LakeSketchCache) before the pair
-/// sweep. With the default options.candidate_mode (kAllPairs) every pair of
-/// the upper triangle is scored — O(n²) in the table count; with kLsh a
-/// MinHash-LSH index over the sketches (see lsh_index.h) generates the
-/// candidate subset first and only candidates are scored. With a `pool`,
-/// sketching fans out over tables and pair scoring over (candidate) table
-/// pairs; matches are folded into the DRG in deterministic (i, j) pair
-/// order, so the graph is byte-identical at any thread count in either
-/// mode.
-///
-/// A non-null `metrics` records the DRG-construction counters:
-/// `sketch_cache.builds` (sketches computed once), `sketch_cache.hits`
-/// (sketch reuses the per-pair formulation would have recomputed),
-/// `drg.candidate_pairs` / `drg.pairs_pruned` (candidate-generation
-/// effect; pruned is 0 under kAllPairs), `drg.pairs_scored`,
-/// `drg.pairs_matched`, `drg.edges_added`, plus the `lsh.*` counters and
-/// `lsh_index.bytes` gauges under kLsh.
+/// A non-null `metrics` records `sketch_cache.hits` (sketch reuses the
+/// per-pair formulation would have recomputed), `drg.candidate_pairs`,
+/// `drg.pairs_pruned`, `drg.pairs_scored`, `drg.pairs_matched`,
+/// `drg.edges_added`, and under LSH filtering the `lsh.*` counters (over
+/// the touched tables' columns; `lsh.bucket_collisions` only when every
+/// table is touched) and the `lsh_index.bytes` / `.bytes_peak` gauges.
+/// Profiling records `sketch.minhash` worker spans into the pool's tracer.
+Result<TouchedMatchStats> MatchTouchedTables(
+    const DataLake& lake, const std::vector<std::string>& touched,
+    LakeSketchCache& cache, const MatchOptions& options,
+    LshCandidateIndex& lsh, DrgMatchStore& store, ThreadPool* pool = nullptr,
+    obs::MetricsRegistry* metrics = nullptr);
+
+/// Data-lake setting: ignores KFK metadata and discovers edges with the
+/// schema matcher — every column sketched once, then MatchTouchedTables
+/// with every table touched on an empty store and the canonical
+/// DrgMatchStore::BuildGraph fold. Matches at or above options.threshold
+/// become edges weighted by their score. kAllPairs scores every pair
+/// (O(n²) in the table count); kLsh only the MinHash-LSH candidates (see
+/// lsh_index.h). A non-null `metrics` records `sketch_cache.builds` plus
+/// every MatchTouchedTables counter.
 Result<DatasetRelationGraph> BuildDrgByDiscovery(
     const DataLake& lake, const MatchOptions& options = {},
     ThreadPool* pool = nullptr, obs::MetricsRegistry* metrics = nullptr);
 
 /// Generic DRG construction with a pluggable matcher — "DRG construction is
-/// independent of the dataset discovery algorithm" (§IV). The matcher maps
-/// two tables to scored column pairs; every reported match becomes an edge.
-/// With a `pool`, pairs are matched concurrently (the matcher must be a
-/// pure function of its arguments) and merged in deterministic pair order.
+/// independent of the dataset discovery algorithm" (§IV). Runs the
+/// BuildDrgByDiscovery score -> store -> fold loop over every table pair
+/// with `matcher` as the scorer (concurrently with a `pool`, so it must be
+/// a pure function of its arguments). A non-null `metrics` counts
+/// `drg.pairs_scored`, `drg.pairs_matched` and `drg.edges_added`.
 Result<DatasetRelationGraph> BuildDrgWithMatcher(
     const DataLake& lake,
     const std::function<std::vector<ColumnMatch>(const Table&, const Table&)>&

@@ -1,15 +1,9 @@
 #include "discovery/lsh_index.h"
 
 #include <algorithm>
-#include <unordered_map>
 
-#include "discovery/data_lake.h"
-#include "obs/memory.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/rng.h"
 #include "util/simd.h"
-#include "util/thread_pool.h"
 
 namespace autofeat {
 
@@ -56,14 +50,6 @@ MinHashSignature ComputeMinHashSignatureReference(const ColumnSketch& sketch,
 
 namespace {
 
-// A column in the index: table position, column position, and its true
-// distinct count (for the optional cardinality-ratio bound).
-struct ColumnRef {
-  uint32_t table = 0;
-  uint32_t column = 0;
-  uint64_t num_distinct = 0;
-};
-
 // Mixes a band's row minima into one bucket fingerprint.
 uint64_t BandContentHash(const uint64_t* mins, size_t rows) {
   uint64_t h = 0xcbf29ce484222325ULL;
@@ -74,8 +60,8 @@ uint64_t BandContentHash(const uint64_t* mins, size_t rows) {
   return h;
 }
 
-// Shared by Build and the pairwise profile path — the two must agree on
-// which columns enter buckets for the candidate decisions to be identical.
+// Columns rescued by containment index every sketch value besides their
+// bands (see the file comment).
 bool RescuedByContainment(const ColumnSketch& sketch,
                           const LshOptions& options) {
   return options.small_column_rescue > 0 && !sketch.values.empty() &&
@@ -96,7 +82,7 @@ ColumnLshProfile ComputeColumnLshProfile(const ColumnSketch& sketch,
   }
   const bool rescued = RescuedByContainment(sketch, options);
   if (sig.empty() && !rescued) return profile;
-  profile.indexed = true;
+  profile.signature_bytes = sig.ApproxBytes();
   const uint64_t group = type != DataType::kDouble ? 1 : 0;
   for (size_t b = 0; b * options.rows_per_band < sig.mins.size(); ++b) {
     uint64_t content = BandContentHash(
@@ -127,163 +113,120 @@ std::vector<ColumnLshProfile> ComputeTableLshProfiles(
   return profiles;
 }
 
-bool LshProfilesCollide(const ColumnLshProfile& a, const ColumnLshProfile& b,
-                        const LshOptions& options) {
-  if (!a.indexed || !b.indexed) return false;
-  if (options.max_cardinality_ratio > 0) {
-    uint64_t lo = std::min(a.num_distinct, b.num_distinct);
-    uint64_t hi = std::max(a.num_distinct, b.num_distinct);
-    if (static_cast<double>(hi) >
-        options.max_cardinality_ratio * static_cast<double>(lo)) {
-      return false;
-    }
+namespace {
+
+// Calls visit(lo, hi) for every bucket: each maximal run [lo, hi) of
+// entries sharing a key.
+template <typename Entries, typename Visit>
+void ForEachBucket(const Entries& entries, Visit&& visit) {
+  for (size_t lo = 0, hi = 0; lo < entries.size(); lo = hi) {
+    while (hi < entries.size() && entries[hi].key == entries[lo].key) ++hi;
+    visit(lo, hi);
   }
-  // Sorted-list intersection over the bucket keys.
-  size_t i = 0, j = 0;
-  while (i < a.bucket_keys.size() && j < b.bucket_keys.size()) {
-    if (a.bucket_keys[i] == b.bucket_keys[j]) return true;
-    if (a.bucket_keys[i] < b.bucket_keys[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return false;
 }
 
-bool LshTablesCollide(const std::vector<ColumnLshProfile>& a,
-                      const std::vector<ColumnLshProfile>& b,
-                      const LshOptions& options) {
-  for (const ColumnLshProfile& ca : a) {
-    for (const ColumnLshProfile& cb : b) {
-      if (LshProfilesCollide(ca, cb, options)) return true;
-    }
-  }
-  return false;
+}  // namespace
+
+bool LshCandidateIndex::Admits(const Entry& a, const Entry& b) const {
+  if (a.slot == b.slot) return false;
+  if (options_.max_cardinality_ratio <= 0) return true;
+  const uint64_t lo = std::min(a.num_distinct, b.num_distinct);
+  const uint64_t hi = std::max(a.num_distinct, b.num_distinct);
+  return static_cast<double>(hi) <=
+         options_.max_cardinality_ratio * static_cast<double>(lo);
 }
 
-LshCandidateIndex LshCandidateIndex::Build(const DataLake& lake,
-                                           LakeSketchCache& cache,
-                                           const LshOptions& options,
-                                           ThreadPool* pool,
-                                           obs::MetricsRegistry* metrics) {
-  LshCandidateIndex index;
-  const auto& tables = lake.tables();
-  const size_t num_hashes = options.num_hashes();
+void LshCandidateIndex::Settle() {
+  auto by_key = [](const Entry& a, const Entry& b) {
+    return a.key != b.key ? a.key < b.key : a.slot < b.slot;
+  };
+  const auto appended = entries_.begin() + static_cast<ptrdiff_t>(settled_);
+  std::sort(appended, entries_.end(), by_key);
+  std::inplace_merge(entries_.begin(), appended, entries_.end(), by_key);
+  settled_ = entries_.size();
+}
 
-  // Stage 1: per-column MinHash signatures, one task per table. Each slot is
-  // written by exactly one task and the signature is a pure function of the
-  // column's sketch, so the fan-out is thread-count-independent.
-  std::vector<std::vector<MinHashSignature>> signatures(tables.size());
-  obs::Tracer* tracer = pool != nullptr ? pool->tracer() : nullptr;
-  obs::TaskContext ctx =
-      obs::CaptureTaskContext(tables.empty() ? nullptr : tracer);
-  ParallelFor(pool, 0, tables.size(), /*grain=*/1, [&](size_t t) {
-    obs::ScopedWorkerSpan span(ctx, "sketch.minhash");
-    LakeSketchCache::TableSketchesPin pin = cache.GetOrBuild(t);
-    const auto& sketches = *pin;
-    std::vector<MinHashSignature> sigs(sketches.size());
-    for (size_t c = 0; c < sketches.size(); ++c) {
-      if (sketches[c].num_distinct < options.min_distinct) continue;
-      sigs[c] = ComputeMinHashSignature(sketches[c], num_hashes);
+void LshCandidateIndex::AddTable(
+    const std::string& table, const std::vector<ColumnLshProfile>& profiles) {
+  RemoveTable(table);
+  const uint64_t slot = next_slot_++;
+  slot_of_[table] = slot;
+  name_of_[slot] = table;
+  for (const ColumnLshProfile& profile : profiles) {
+    for (uint64_t key : profile.bucket_keys) {
+      entries_.push_back({key, slot, profile.num_distinct});
     }
-    signatures[t] = std::move(sigs);
+  }
+}
+
+void LshCandidateIndex::RemoveTable(const std::string& table) {
+  auto it = slot_of_.find(table);
+  if (it == slot_of_.end()) return;
+  const uint64_t slot = it->second;
+  Settle();
+  std::erase_if(entries_, [&](const Entry& e) { return e.slot == slot; });
+  settled_ = entries_.size();
+  name_of_.erase(slot);
+  slot_of_.erase(it);
+}
+
+std::vector<std::string> LshCandidateIndex::Partners(
+    const std::string& table) {
+  std::vector<std::string> partners;
+  auto it = slot_of_.find(table);
+  if (it == slot_of_.end()) return partners;
+  Settle();
+  ForEachBucket(entries_, [&](size_t lo, size_t hi) {
+    for (size_t a = lo; a < hi; ++a) {
+      if (entries_[a].slot != it->second) continue;
+      for (size_t b = lo; b < hi; ++b) {
+        if (Admits(entries_[a], entries_[b])) {
+          partners.push_back(name_of_.at(entries_[b].slot));
+        }
+      }
+    }
   });
+  std::sort(partners.begin(), partners.end());
+  partners.erase(std::unique(partners.begin(), partners.end()),
+                 partners.end());
+  return partners;
+}
 
-  // Stage 2: banding + small-column rescue, sequential (bucket fill is
-  // cheap relative to signature hashing; a shared hash map is not worth the
-  // synchronisation). Bucket keys live in one keyspace, separated by
-  // derivation stream: band b of type group g uses stream 2b+g, the two
-  // rescue streams come after every band stream. Key-like columns
-  // (int64/string) and doubles never share buckets, mirroring the matcher's
-  // join-plausibility filter.
-  std::unordered_map<uint64_t, std::vector<ColumnRef>> buckets;
-  const uint64_t rescue_stream_base = 2 * options.num_bands;
-  for (size_t t = 0; t < tables.size(); ++t) {
-    LakeSketchCache::TableSketchesPin pin = cache.GetOrBuild(t);
-    const auto& sketches = *pin;
-    for (size_t c = 0; c < sketches.size(); ++c) {
-      const ColumnSketch& sketch = sketches[c];
-      const MinHashSignature& sig = signatures[t][c];
-      bool rescued = RescuedByContainment(sketch, options);
-      if (sig.empty() && !rescued) {
-        ++index.columns_skipped_;
-        continue;
-      }
-      ++index.columns_indexed_;
-      index.signature_bytes_ += sig.ApproxBytes();
-      uint64_t group =
-          tables[t].schema().field(c).type != DataType::kDouble ? 1 : 0;
-      ColumnRef ref{static_cast<uint32_t>(t), static_cast<uint32_t>(c),
-                    sketch.num_distinct};
-      for (size_t b = 0; b * options.rows_per_band < sig.mins.size(); ++b) {
-        uint64_t content = BandContentHash(
-            sig.mins.data() + b * options.rows_per_band,
-            std::min(options.rows_per_band,
-                     sig.mins.size() - b * options.rows_per_band));
-        buckets[DeriveSeed(content, 2 * b + group)].push_back(ref);
-        ++index.bucket_entries_;
-      }
-      if (rescued) {
-        // Every sketch value gets its own bucket: two rescued columns whose
-        // sketches intersect at all are guaranteed a collision, covering
-        // asymmetric containment joins banding would miss.
-        for (const auto& value : sketch.values) {
-          buckets[DeriveSeed(LshValueHash(value), rescue_stream_base + group)]
-              .push_back(ref);
-          ++index.bucket_entries_;
-        }
+std::vector<std::pair<std::string, std::string>>
+LshCandidateIndex::CandidatePairs(size_t* bucket_collisions) {
+  // Every cross-table column pair sharing a bucket is a candidate table
+  // pair. Slot pairs are deduplicated before naming and the named pairs
+  // sorted, so the slot assignment does not leak into the output.
+  Settle();
+  std::vector<std::pair<uint64_t, uint64_t>> slot_pairs;
+  size_t collisions = 0;
+  ForEachBucket(entries_, [&](size_t lo, size_t hi) {
+    for (size_t a = lo; a < hi; ++a) {
+      for (size_t b = a + 1; b < hi; ++b) {
+        if (!Admits(entries_[a], entries_[b])) continue;
+        ++collisions;
+        // Buckets are sorted by slot, so a's slot is the smaller.
+        slot_pairs.emplace_back(entries_[a].slot, entries_[b].slot);
       }
     }
-  }
-
-  // Stage 3: every cross-table pair sharing a bucket becomes a candidate
-  // table pair. The pair list is sorted and deduplicated, so neither the
-  // map's iteration order nor the thread count can leak into the output.
-  std::vector<std::pair<size_t, size_t>> pairs;
-  for (const auto& [key, refs] : buckets) {
-    (void)key;
-    if (refs.size() < 2) continue;
-    for (size_t a = 0; a < refs.size(); ++a) {
-      for (size_t b = a + 1; b < refs.size(); ++b) {
-        if (refs[a].table == refs[b].table) continue;
-        if (options.max_cardinality_ratio > 0) {
-          uint64_t lo = std::min(refs[a].num_distinct, refs[b].num_distinct);
-          uint64_t hi = std::max(refs[a].num_distinct, refs[b].num_distinct);
-          if (static_cast<double>(hi) >
-              options.max_cardinality_ratio * static_cast<double>(lo)) {
-            continue;
-          }
-        }
-        ++index.bucket_collisions_;
-        pairs.emplace_back(std::min(refs[a].table, refs[b].table),
-                           std::max(refs[a].table, refs[b].table));
-      }
-    }
+  });
+  std::sort(slot_pairs.begin(), slot_pairs.end());
+  slot_pairs.erase(std::unique(slot_pairs.begin(), slot_pairs.end()),
+                   slot_pairs.end());
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (const auto& [a, b] : slot_pairs) {
+    pairs.push_back(std::minmax(name_of_.at(a), name_of_.at(b)));
   }
   std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  index.pairs_ = std::move(pairs);
-
-  obs::Increment(obs::GetCounter(metrics, "lsh.bands"), options.num_bands);
-  obs::Increment(obs::GetCounter(metrics, "lsh.signature_bytes"),
-                 index.signature_bytes_);
-  obs::Increment(obs::GetCounter(metrics, "lsh.columns_indexed"),
-                 index.columns_indexed_);
-  obs::Increment(obs::GetCounter(metrics, "lsh.columns_skipped"),
-                 index.columns_skipped_);
-  obs::Increment(obs::GetCounter(metrics, "lsh.bucket_collisions"),
-                 index.bucket_collisions_);
-  obs::AddBytesWithPeak(obs::GetGauge(metrics, "lsh_index.bytes"),
-                        obs::GetGauge(metrics, "lsh_index.bytes_peak"),
-                        static_cast<int64_t>(index.ApproxBytes()));
-  return index;
+  if (bucket_collisions != nullptr) *bucket_collisions = collisions;
+  return pairs;
 }
 
 size_t LshCandidateIndex::ApproxBytes() const {
-  return sizeof(LshCandidateIndex) + signature_bytes_ +
-         bucket_entries_ * (sizeof(ColumnRef) + sizeof(uint64_t)) +
-         pairs_.size() * sizeof(std::pair<size_t, size_t>);
+  // The 64-byte header is a fixed charge, so the gauge depends on the
+  // indexed content only, not on the index's bookkeeping layout.
+  constexpr size_t kHeaderBytes = 64;
+  return kHeaderBytes + entries_.size() * sizeof(Entry);
 }
 
 }  // namespace autofeat

@@ -1,33 +1,28 @@
 // MinHash-LSH candidate generation for sub-quadratic DRG construction.
 //
 // All-pairs discovery scores every table pair — O(n²) in the number of
-// tables — which caps lake size long before memory does. This module is the
-// cheap first stage of a two-stage pipeline (FREYJA-style): fixed-width
-// MinHash signatures are computed per column from the same bottom-k value
-// sketches the exact matcher scores with, banded into an LSH table, and
-// every band-bucket collision between columns of two different tables makes
-// that *table pair* a candidate. Exact scoring (MatchSchemas /
-// MatchByValueOverlap) then runs only on candidates.
+// tables. This module is the cheap first stage of a two-stage pipeline
+// (FREYJA-style): each column's bottom-k value sketch becomes a profile of
+// bucket keys, one bucket index holds every table's profiles, and two
+// tables whose columns share a bucket become a *candidate pair*. Exact
+// scoring (MatchSchemas) then runs only on candidates.
 //
-// Soundness: with the default MatchOptions weights, a reported edge needs
-// value overlap — name similarity alone cannot reach the threshold — and
-// value overlap is exactly what MinHash collisions witness. Two recall
-// mechanisms cover the two overlap regimes:
+// Soundness: with the default MatchOptions weights a reported edge needs
+// value overlap, which is what collisions witness. Two recall mechanisms
+// cover the two overlap regimes:
 //
-//  * banding — b bands of r rows collide with probability 1-(1-s^r)^b for
-//    Jaccard similarity s; the defaults (32 x 2) catch s >= 0.3 with
-//    >95% coverage, which is the regime of genuine key↔key joins;
-//  * small-column rescue — asymmetric containment (a tiny FK domain inside
-//    a large PK range) has near-zero Jaccard, so columns with at most
-//    `small_column_rescue` distinct values additionally index every sketch
-//    value: any column pair (of rescued columns) whose sketches intersect
-//    at all is guaranteed to collide.
+//  * banding — b bands of r MinHash rows collide with probability
+//    1-(1-s^r)^b for Jaccard similarity s; the defaults (32 x 2) catch
+//    s >= 0.3 with >95% coverage, the regime of genuine key↔key joins;
+//  * small-column rescue — a tiny FK domain inside a large PK range has
+//    near-zero Jaccard, so columns with at most `small_column_rescue`
+//    distinct values also get one key per sketch value: two rescued
+//    columns whose sketches intersect always collide.
 //
-// Determinism: signatures reuse the hash discipline of BuildColumnSketch —
-// pure functions of the column's distinct-value set via FNV-1a + the
-// DeriveSeed (splitmix64) finaliser, never std::hash — and the candidate
-// pair list is sorted and deduplicated, so the output (and every counter
-// derived from it) is byte-identical at any thread count and across
+// Determinism: keys are pure functions of the column's distinct-value set
+// (FNV-1a + the DeriveSeed splitmix64 finaliser, never std::hash) and
+// candidate lists are sorted and deduplicated, so the output and every
+// counter derived from it are identical at any thread count and across
 // platforms.
 
 #ifndef AUTOFEAT_DISCOVERY_LSH_INDEX_H_
@@ -35,19 +30,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "discovery/sketch_cache.h"
 
 namespace autofeat {
-
-class DataLake;
-class ThreadPool;
-
-namespace obs {
-class MetricsRegistry;
-}  // namespace obs
 
 /// \brief Tuning knobs of the candidate generator. Defaults are chosen for
 /// recall (a missed candidate silently drops a DRG edge; a spurious one
@@ -102,31 +92,28 @@ MinHashSignature ComputeMinHashSignature(const ColumnSketch& sketch,
 MinHashSignature ComputeMinHashSignatureReference(const ColumnSketch& sketch,
                                                   size_t num_hashes);
 
-/// \brief Pairwise view of one column's LSH state: the exact set of bucket
-/// keys LshCandidateIndex::Build would file the column under.
+/// \brief One column's LSH state: the bucket keys the index files the
+/// column under.
 ///
-/// The serving layer's incremental matcher cannot afford to rebuild the
-/// whole lake-wide index per mutation, but it must reproduce the cold
-/// index's candidate decisions exactly (the incremental DRG is gated
-/// byte-identical to a cold rebuild). Profiles make the bucket structure a
-/// pure per-column function: two columns collide in the cold index iff
-/// their profiles share a bucket key, so candidate generation for a touched
-/// table is a pairwise check against every other table's cached profiles.
+/// Keys are a pure function of (sketch, column type, options): band b of
+/// type group g hashes into derivation stream 2b+g, and a rescued column
+/// adds one key per sketch value in the streams after every band stream.
+/// Key-like columns (int64/string) and doubles therefore never share a
+/// bucket, mirroring the matcher's join-plausibility filter.
 struct ColumnLshProfile {
-  /// Sorted bucket keys (band streams + rescue streams, group-separated —
-  /// see LshCandidateIndex::Build stage 2).
+  /// Sorted bucket keys (band keys + rescue keys).
   std::vector<uint64_t> bucket_keys;
   uint64_t num_distinct = 0;
-  /// False when the column enters no bucket (empty/filtered sketch).
-  bool indexed = false;
+  /// Footprint of the MinHash signature the band keys were cut from (0 when
+  /// the column was not signed).
+  size_t signature_bytes = 0;
 
-  size_t ApproxBytes() const {
-    return sizeof(ColumnLshProfile) + bucket_keys.size() * sizeof(uint64_t);
-  }
+  /// False when the column enters no bucket (empty/filtered sketch).
+  bool indexed() const { return !bucket_keys.empty(); }
 };
 
-/// The profile Build would index this column under. Pure function of
-/// (sketch, column type, options).
+/// The profile of one column. Pure function of (sketch, column type,
+/// options).
 ColumnLshProfile ComputeColumnLshProfile(const ColumnSketch& sketch,
                                          DataType type,
                                          const LshOptions& options);
@@ -136,70 +123,70 @@ std::vector<ColumnLshProfile> ComputeTableLshProfiles(
     const Table& table, const std::vector<ColumnSketch>& sketches,
     const LshOptions& options);
 
-/// True iff the two columns would share a bucket in the cold index (sorted
-/// key intersection), subject to the same cardinality-ratio bound Build
-/// applies to collisions.
-bool LshProfilesCollide(const ColumnLshProfile& a, const ColumnLshProfile& b,
-                        const LshOptions& options);
-
-/// True iff any column pair across the two tables collides — i.e. the cold
-/// index would emit this table pair as a candidate.
-bool LshTablesCollide(const std::vector<ColumnLshProfile>& a,
-                      const std::vector<ColumnLshProfile>& b,
-                      const LshOptions& options);
-
-/// \brief Banded LSH index over every column of a lake, emitting candidate
-/// table pairs for exact DRG scoring.
+/// \brief Bucket index over the column profiles of a set of tables, keyed
+/// by table name: the one LSH candidate mechanism, for cold DRG builds
+/// (every table added, then CandidatePairs) and incremental maintenance
+/// (one table removed and re-added, then Partners).
+///
+/// Two tables are candidates iff a column of each shares a bucket key,
+/// subject to the optional cardinality-ratio bound. Both queries answer
+/// that one predicate, so after any add/remove sequence a table's partners
+/// are the pairs containing it in a fresh index. Queries first sort the
+/// entries added since the last query into place, so they are not const.
+/// Not thread-safe.
 class LshCandidateIndex {
  public:
-  /// Builds signatures for every column of `lake` (in parallel over tables
-  /// when `pool` is given; results identical at any thread count) over the
-  /// sketches in `cache`, bands them, and materialises the sorted,
-  /// deduplicated candidate table-pair list.
-  ///
-  /// A non-null `metrics` records `lsh.bands` (configured band count),
-  /// `lsh.signature_bytes` (total signature footprint), `lsh.columns_indexed`
-  /// / `lsh.columns_skipped` (prefilter effect), `lsh.bucket_collisions`
-  /// (cross-table column collisions before table-pair dedup) and maintains
-  /// the `lsh_index.bytes` / `.bytes_peak` gauges from ApproxBytes().
-  /// Signature building records `sketch.minhash` worker spans into the
-  /// pool's tracer, when both exist. `cache` is non-const because sketches
-  /// build (and, under a memory budget, rebuild) lazily on request; the
-  /// index pins each table's entry only while signing it.
-  static LshCandidateIndex Build(const DataLake& lake,
-                                 LakeSketchCache& cache,
-                                 const LshOptions& options,
-                                 ThreadPool* pool = nullptr,
-                                 obs::MetricsRegistry* metrics = nullptr);
+  explicit LshCandidateIndex(const LshOptions& options = {})
+      : options_(options) {}
 
-  /// Candidate (i, j) table-index pairs, i < j, ascending — the subset of
-  /// the upper triangle the exact matcher needs to score. Folding matches
-  /// in this order preserves the all-pairs edge-insertion order on the
-  /// surviving pairs.
-  const std::vector<std::pair<size_t, size_t>>& candidate_table_pairs()
-      const {
-    return pairs_;
-  }
+  /// Files `table`'s column profiles into the buckets, replacing any
+  /// profiles already indexed under that name.
+  void AddTable(const std::string& table,
+                const std::vector<ColumnLshProfile>& profiles);
 
-  size_t num_indexed_columns() const { return columns_indexed_; }
-  size_t num_skipped_columns() const { return columns_skipped_; }
-  /// Total bytes of all column signatures (part of ApproxBytes()).
-  size_t signature_bytes() const { return signature_bytes_; }
-  /// Cross-table column-level bucket collisions (>= candidate pair count).
-  size_t num_bucket_collisions() const { return bucket_collisions_; }
+  /// Drops `table`'s profiles from the buckets (no-op when absent).
+  void RemoveTable(const std::string& table);
 
-  /// Approximate heap footprint: signatures + bucket entries + the pair
-  /// list. Size-based (entry counts, not container capacity), so equal
-  /// content reports equal bytes and the derived gauges stay deterministic.
+  /// Names of the other indexed tables that are candidates with `table`,
+  /// ascending (empty when `table` is not indexed).
+  std::vector<std::string> Partners(const std::string& table);
+
+  /// Every candidate pair of indexed tables as (a, b) names with a < b,
+  /// ascending. A non-null `bucket_collisions` receives the cross-table
+  /// column collisions behind them (before table-pair dedup).
+  std::vector<std::pair<std::string, std::string>> CandidatePairs(
+      size_t* bucket_collisions = nullptr);
+
+  const LshOptions& options() const { return options_; }
+
+  /// Approximate footprint: a fixed header + the bucket entries. Size-based
+  /// (entry counts, not container capacity), so equal content reports equal
+  /// bytes and the derived gauges stay deterministic.
   size_t ApproxBytes() const;
 
  private:
-  std::vector<std::pair<size_t, size_t>> pairs_;
-  size_t columns_indexed_ = 0;
-  size_t columns_skipped_ = 0;
-  size_t signature_bytes_ = 0;
-  size_t bucket_entries_ = 0;
-  size_t bucket_collisions_ = 0;
+  // One column filed under one bucket key: the owning table's slot and the
+  // column's distinct count (for the cardinality-ratio bound).
+  struct Entry {
+    uint64_t key = 0;
+    uint64_t slot = 0;
+    uint64_t num_distinct = 0;
+  };
+
+  // Whether two colliding columns count as candidates.
+  bool Admits(const Entry& a, const Entry& b) const;
+  // Merges the entries appended since the last call into the sorted prefix.
+  void Settle();
+
+  LshOptions options_;
+  // Every filing, sorted by (key, slot) up to settled_ (the rest were
+  // appended since); a bucket is a run of equal keys.
+  std::vector<Entry> entries_;
+  size_t settled_ = 0;
+  // Every AddTable files under a fresh slot, so slots are never reused.
+  uint64_t next_slot_ = 0;
+  std::unordered_map<std::string, uint64_t> slot_of_;
+  std::unordered_map<uint64_t, std::string> name_of_;
 };
 
 }  // namespace autofeat

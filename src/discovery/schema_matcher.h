@@ -17,6 +17,7 @@
 
 #include "discovery/lsh_index.h"
 #include "discovery/sketch_cache.h"
+#include "graph/drg_delta.h"
 #include "table/table.h"
 
 namespace autofeat {
@@ -65,12 +66,9 @@ struct MatchOptions {
   size_t memory_budget_bytes = 0;
 };
 
-/// A discovered join opportunity between two columns.
-struct ColumnMatch {
-  std::string left_column;
-  std::string right_column;
-  double score = 0.0;
-};
+/// A discovered join opportunity between two columns — the graph layer's
+/// PairMatch, so matches go into a DrgMatchStore as they are.
+using ColumnMatch = PairMatch;
 
 /// Name similarity in [0, 1]: max of normalised Levenshtein similarity and
 /// 3-gram Jaccard over lower-cased names (1.0 for equal names).

@@ -275,23 +275,20 @@ size_t LakeSketchCache::CarryOver(
 void LakeSketchCache::EvictAll() {
   State& st = *state_;
   std::lock_guard<std::mutex> lock(st.mutex);
-  for (auto& entry : st.entries) {
+  for (size_t i = 0; i < st.entries.size(); ++i) {
+    auto& entry = st.entries[i];
     if (entry->sketches == nullptr) continue;
     st.resident_bytes -= entry->bytes;
     obs::AddBytesWithPeak(bytes_, bytes_peak_,
                           -static_cast<int64_t>(entry->bytes));
+    obs::Append(event_log_, "cache_evict",
+                {{"cache", "sketch"},
+                 {"table", lake_->tables()[i].name()},
+                 {"bytes", entry->bytes}});
     entry->sketches.reset();
     entry->bytes = 0;
     obs::Increment(evictions_);
   }
-}
-
-const std::vector<ColumnSketch>& LakeSketchCache::table_sketches(
-    size_t table_index) {
-  // The returned reference aliases the resident entry, which is only stable
-  // on an unbudgeted cache (budgeted callers must hold a GetOrBuild pin).
-  TableSketchesPin pin = GetOrBuild(table_index);
-  return *pin;
 }
 
 size_t LakeSketchCache::num_tables() const {

@@ -17,8 +17,7 @@
 // than the whole budget is handed out pin-only). Sketches are pure
 // functions of (table contents, max_sample), so rebuilds are byte-identical
 // and eviction never changes the discovered DRG. Callers hold entries
-// through shared_ptr pins; `table_sketches()` returns a bare reference and
-// is only stable on an unbudgeted cache.
+// through shared_ptr pins, which stay valid across eviction.
 
 #ifndef AUTOFEAT_DISCOVERY_SKETCH_CACHE_H_
 #define AUTOFEAT_DISCOVERY_SKETCH_CACHE_H_
@@ -91,11 +90,10 @@ class LakeSketchCache {
                   obs::MetricsRegistry* metrics = nullptr,
                   size_t budget_bytes = 0);
 
-  /// Compatibility builder: constructs a cache over `lake` and prewarms
-  /// every table (fanning out over `pool` when given; per-table sketching
-  /// records `sketch.table` worker spans into the pool's attached tracer).
-  /// With budget_bytes == 0 this reproduces the old eager semantics —
-  /// every entry resident, `table_sketches()` references stable.
+  /// Constructs a cache over `lake` and prewarms every table (fanning out
+  /// over `pool` when given; per-table sketching records `sketch.table`
+  /// worker spans into the pool's attached tracer). With budget_bytes == 0
+  /// every entry stays resident.
   static LakeSketchCache Build(const DataLake& lake, size_t max_sample,
                                ThreadPool* pool = nullptr,
                                obs::MetricsRegistry* metrics = nullptr,
@@ -126,12 +124,9 @@ class LakeSketchCache {
   /// Call before the cache is shared across threads.
   void set_event_log(obs::EventLog* log) { event_log_ = log; }
 
-  /// Evicts every resident entry. Outstanding pins stay valid.
+  /// Evicts every resident entry (appending one `cache_evict` event each).
+  /// Outstanding pins stay valid.
   void EvictAll();
-
-  /// Bare reference for unbudgeted caches (the pre-budget API); invalidated
-  /// by eviction, so budgeted callers must hold a GetOrBuild pin instead.
-  const std::vector<ColumnSketch>& table_sketches(size_t table_index);
 
   size_t num_tables() const;
   size_t max_sample() const { return max_sample_; }

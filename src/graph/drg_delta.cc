@@ -1,61 +1,54 @@
 #include "graph/drg_delta.h"
 
 #include <algorithm>
+#include <tuple>
+#include <unordered_map>
 #include <utility>
 
 namespace autofeat {
 
-std::string DrgMatchStore::PairKey(const std::string& a,
-                                   const std::string& b) {
-  // Order-insensitive key; '\0' cannot occur inside a table name loaded
-  // from disk and keeps "ab"+"c" distinct from "a"+"bc".
-  return a < b ? a + '\0' + b : b + '\0' + a;
-}
-
 void DrgMatchStore::SetMatches(const std::string& left,
                                const std::string& right,
                                std::vector<PairMatch> matches) {
-  const std::string key = PairKey(left, right);
+  std::pair<std::string, std::string> key = std::minmax(left, right);
   if (matches.empty()) {
     pairs_.erase(key);
-    return;
+  } else {
+    pairs_[std::move(key)] = StoredPair{left, std::move(matches)};
   }
-  pairs_[key] = StoredPair{left, right, std::move(matches)};
 }
 
 void DrgMatchStore::PurgeTable(const std::string& table) {
-  for (auto it = pairs_.begin(); it != pairs_.end();) {
-    if (it->second.left == table || it->second.right == table) {
-      it = pairs_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-std::vector<PairMatch> DrgMatchStore::MatchesFor(const std::string& a,
-                                                 const std::string& b) const {
-  auto it = pairs_.find(PairKey(a, b));
-  if (it == pairs_.end()) return {};
-  if (it->second.left == a) return it->second.matches;
-  std::vector<PairMatch> flipped;
-  flipped.reserve(it->second.matches.size());
-  for (const PairMatch& m : it->second.matches) {
-    flipped.push_back({m.right_column, m.left_column, m.score});
-  }
-  return flipped;
+  std::erase_if(pairs_, [&](const auto& pair) {
+    return pair.first.first == table || pair.first.second == table;
+  });
 }
 
 Result<DatasetRelationGraph> DrgMatchStore::BuildGraph(
     const std::vector<std::string>& lake_order) const {
   DatasetRelationGraph drg;
-  for (const std::string& name : lake_order) drg.AddNode(name);
+  std::unordered_map<std::string, size_t> position;
   for (size_t i = 0; i < lake_order.size(); ++i) {
-    for (size_t j = i + 1; j < lake_order.size(); ++j) {
-      for (const PairMatch& m : MatchesFor(lake_order[i], lake_order[j])) {
-        AF_RETURN_NOT_OK(drg.AddEdge(lake_order[i], m.left_column,
-                                     lake_order[j], m.right_column, m.score));
-      }
+    drg.AddNode(lake_order[i]);
+    position.emplace(lake_order[i], i);
+  }
+  // (i, j, pair) for every stored pair whose tables are both present.
+  std::vector<std::tuple<size_t, size_t, const StoredPair*>> ordered;
+  for (const auto& [names, stored] : pairs_) {
+    auto a = position.find(names.first);
+    auto b = position.find(names.second);
+    if (a == position.end() || b == position.end()) continue;
+    ordered.emplace_back(std::min(a->second, b->second),
+                         std::max(a->second, b->second), &stored);
+  }
+  std::sort(ordered.begin(), ordered.end());
+  for (const auto& [i, j, stored] : ordered) {
+    // Matches are stored oriented left -> right; emit them i -> j.
+    const bool flip = stored->left != lake_order[i];
+    for (const PairMatch& m : stored->matches) {
+      AF_RETURN_NOT_OK(drg.AddEdge(
+          lake_order[i], flip ? m.right_column : m.left_column, lake_order[j],
+          flip ? m.left_column : m.right_column, m.score));
     }
   }
   return drg;

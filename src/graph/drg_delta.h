@@ -1,25 +1,21 @@
-// Incremental DRG maintenance: a canonical per-table-pair match store that
-// a mutation path updates in place and rebuilds a DatasetRelationGraph from.
+// DRG match store: the per-table-pair match results every discovered DRG
+// is built from, keyed by *table-name pair* so lake positions may shift
+// (drop + re-add) between writes and builds. A cold build writes every
+// pair into an empty store; a mutation re-writes only pairs touching the
+// mutated table.
 //
 // Why a store + rebuild rather than editing the graph? Edge *insertion
-// order* is observable: Neighbors() lists nodes in first-edge order, BFS
-// path enumeration follows it, and discovery ranking breaks ties by BFS
-// order. A cold BuildDrgByDiscovery folds matches in ascending (i, j)
-// lake-order — so an incrementally maintained graph is byte-identical to a
-// cold rebuild only if its edges are folded in exactly that order too.
-// Appending "just the new edges" to a live graph would diverge.
-//
-// The store therefore keeps matches keyed by *table-name pair* and rebuilds
-// the graph object canonically (nodes in lake order, pair edges ascending
-// (i, j)) after every mutation. Rebuilding is O(nodes + edges) — trivially
-// cheap next to re-matching — while the expensive part (scoring) stays
-// incremental: a mutation re-scores only pairs touching mutated tables.
+// order* is observable (Neighbors(), BFS path enumeration and ranking ties
+// follow it), so the graph is always folded canonically — nodes in lake
+// order, then each pair's matches in ascending (i, j) lake-position order.
+// Any write sequence thus builds the graph a from-scratch store would.
 
 #ifndef AUTOFEAT_GRAPH_DRG_DELTA_H_
 #define AUTOFEAT_GRAPH_DRG_DELTA_H_
 
+#include <map>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/drg.h"
@@ -42,7 +38,7 @@ struct PairMatch {
 };
 
 /// \brief Canonical store of per-pair schema matches, the source of truth
-/// the serving layer rebuilds its DRG from after each mutation.
+/// discovered DRGs are built from (cold builds and every serving epoch).
 class DrgMatchStore {
  public:
   /// Replaces the matches for the unordered pair {left, right}. `matches`
@@ -57,16 +53,12 @@ class DrgMatchStore {
   /// re-matched from scratch).
   void PurgeTable(const std::string& table);
 
-  /// The stored matches for {a, b} oriented a -> b (empty if none).
-  std::vector<PairMatch> MatchesFor(const std::string& a,
-                                    const std::string& b) const;
-
-  /// Rebuilds the graph canonically: one node per lake table in
+  /// Builds the graph canonically: one node per lake table in
   /// `lake_order`, then for ascending (i, j) the stored matches of pair
-  /// (table i, table j) as edges, in stored (match-score) order — exactly
-  /// the fold order of a cold BuildDrgByDiscovery. Stored pairs whose
-  /// tables are absent from `lake_order` are ignored (they belong to
-  /// dropped tables awaiting purge).
+  /// (table i, table j) as edges, in stored (match-score) order. Walks only
+  /// the stored pairs. Stored pairs whose tables are absent from
+  /// `lake_order` are ignored (they belong to dropped tables awaiting
+  /// purge).
   Result<DatasetRelationGraph> BuildGraph(
       const std::vector<std::string>& lake_order) const;
 
@@ -74,15 +66,12 @@ class DrgMatchStore {
 
  private:
   struct StoredPair {
-    // Orientation the matches were stored under.
-    std::string left;
-    std::string right;
+    std::string left;  // the table the matches are oriented from
     std::vector<PairMatch> matches;
   };
 
-  static std::string PairKey(const std::string& a, const std::string& b);
-
-  std::unordered_map<std::string, StoredPair> pairs_;
+  // Keyed by the (smaller, larger) table-name pair.
+  std::map<std::pair<std::string, std::string>, StoredPair> pairs_;
 };
 
 }  // namespace autofeat

@@ -12,16 +12,6 @@ namespace autofeat::serve {
 
 namespace {
 
-std::vector<PairMatch> ToPairMatches(std::vector<ColumnMatch> matches) {
-  std::vector<PairMatch> out;
-  out.reserve(matches.size());
-  for (ColumnMatch& m : matches) {
-    out.push_back({std::move(m.left_column), std::move(m.right_column),
-                   m.score});
-  }
-  return out;
-}
-
 uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -50,7 +40,8 @@ LakeService::LakeService(ServeOptions options, obs::MetricsRegistry* metrics,
       epoch_gauge_(obs::GetGauge(metrics, "serve.epoch")),
       query_latency_(obs::GetQuantile(metrics, "serve.query_latency_ns")),
       mutation_latency_(
-          obs::GetQuantile(metrics, "serve.mutation_latency_ns")) {
+          obs::GetQuantile(metrics, "serve.mutation_latency_ns")),
+      lsh_index_(options_.match.lsh) {
   if (ResolveNumThreads(options_.config.num_threads) > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.config.num_threads);
     if (metrics_ != nullptr) pool_->set_metrics(metrics_);
@@ -71,10 +62,16 @@ Result<std::unique_ptr<LakeService>> LakeService::Create(
       service->options_.match.memory_budget_bytes);
   snap->sketch_cache->set_event_log(event_log);
   snap->sketch_cache->PrewarmAll(service->pool_.get());
-  MatchStats stats;
-  AF_RETURN_NOT_OK(service->MatchAllPairs(*snap, &stats));
-  AF_ASSIGN_OR_RETURN(snap->drg,
-                      service->match_store_.BuildGraph(snap->lake.TableNames()));
+  // The cold build: every table touched on the (empty) match store.
+  const std::vector<std::string> names = snap->lake.TableNames();
+  AF_ASSIGN_OR_RETURN(
+      TouchedMatchStats stats,
+      MatchTouchedTables(snap->lake, names, *snap->sketch_cache,
+                         service->options_.match, service->lsh_index_,
+                         service->match_store_, service->pool_.get()));
+  obs::Increment(service->pairs_rescored_, stats.pairs_scored);
+  obs::Increment(service->pairs_skipped_, stats.pairs_pruned());
+  AF_ASSIGN_OR_RETURN(snap->drg, service->match_store_.BuildGraph(names));
   snap->join_cache = std::make_shared<JoinIndexCache>(
       &snap->lake, service->options_.config.seed, metrics, tracer,
       service->options_.config.memory_budget_bytes);
@@ -87,143 +84,12 @@ Result<std::unique_ptr<LakeService>> LakeService::Create(
   lineage.cause = "create";
   lineage.num_tables = snap->lake.num_tables();
   lineage.drg_edges = snap->drg.num_edges();
-  lineage.pairs_rescored = stats.rescored;
-  lineage.pairs_skipped = stats.skipped;
+  lineage.pairs_rescored = stats.pairs_scored;
+  lineage.pairs_skipped = stats.pairs_pruned();
   service->RecordLineage(std::move(lineage));
 
   service->current_ = std::move(snap);
   return service;
-}
-
-bool LakeService::LshFilteringActive() const {
-  // Mirrors the BuildDrgByDiscovery fallback: LSH filtering is sound only
-  // while every reportable edge needs value overlap. When the threshold is
-  // reachable on name evidence alone, every pair must be scored.
-  return options_.match.candidate_mode == CandidateMode::kLsh &&
-         options_.match.threshold > options_.match.name_weight;
-}
-
-const std::vector<ColumnLshProfile>& LakeService::ProfileFor(
-    const LakeSnapshot& snap, size_t index, const std::string& name) {
-  auto it = profiles_.find(name);
-  if (it != profiles_.end()) return it->second;
-  LakeSketchCache::TableSketchesPin pin = snap.sketch_cache->GetOrBuild(index);
-  return profiles_
-      .emplace(name, ComputeTableLshProfiles(snap.lake.tables()[index], *pin,
-                                             options_.match.lsh))
-      .first->second;
-}
-
-Status LakeService::MatchAllPairs(const LakeSnapshot& snap,
-                                  MatchStats* stats) {
-  match_store_ = DrgMatchStore();
-  profiles_.clear();
-  const auto tables = snap.lake.tables();
-  const size_t n = tables.size();
-  std::vector<std::pair<size_t, size_t>> pairs;
-  if (LshFilteringActive()) {
-    for (size_t i = 0; i < n; ++i) ProfileFor(snap, i, tables[i].name());
-    for (size_t i = 0; i < n; ++i) {
-      const auto& pi = profiles_.at(tables[i].name());
-      for (size_t j = i + 1; j < n; ++j) {
-        if (LshTablesCollide(pi, profiles_.at(tables[j].name()),
-                             options_.match.lsh)) {
-          pairs.emplace_back(i, j);
-        } else {
-          obs::Increment(pairs_skipped_);
-          if (stats != nullptr) ++stats->skipped;
-        }
-      }
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
-    }
-  }
-
-  // Score candidates (fanning out over the pool; each score is a pure
-  // function of the two tables' sketches) and install them in the store.
-  std::vector<std::vector<ColumnMatch>> matches =
-      ParallelMap<std::vector<ColumnMatch>>(
-          pool_.get(), pairs.size(), /*grain=*/1, [&](size_t p) {
-            const auto& [i, j] = pairs[p];
-            LakeSketchCache::TableSketchesPin left =
-                snap.sketch_cache->GetOrBuild(i);
-            LakeSketchCache::TableSketchesPin right =
-                snap.sketch_cache->GetOrBuild(j);
-            return MatchSchemas(tables[i], *left, tables[j], *right,
-                                options_.match);
-          });
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    const auto& [i, j] = pairs[p];
-    match_store_.SetMatches(tables[i].name(), tables[j].name(),
-                            ToPairMatches(std::move(matches[p])));
-  }
-  obs::Increment(pairs_rescored_, pairs.size());
-  if (stats != nullptr) stats->rescored += pairs.size();
-  return Status::OK();
-}
-
-Status LakeService::RematchTable(const LakeSnapshot& snap,
-                                 const std::string& target,
-                                 MatchStats* stats) {
-  const auto tables = snap.lake.tables();
-  const size_t n = tables.size();
-  size_t target_idx = n;
-  for (size_t i = 0; i < n; ++i) {
-    if (tables[i].name() == target) {
-      target_idx = i;
-      break;
-    }
-  }
-  if (target_idx == n) {
-    return Status::KeyError("re-match target not in lake: " + target);
-  }
-
-  const bool lsh = LshFilteringActive();
-  std::vector<std::pair<size_t, size_t>> pairs;
-  if (lsh) {
-    // `tprof` stays valid across later ProfileFor insertions —
-    // unordered_map references survive rehashing.
-    const auto& tprof = ProfileFor(snap, target_idx, target);
-    for (size_t u = 0; u < n; ++u) {
-      if (u == target_idx) continue;
-      if (LshTablesCollide(tprof, ProfileFor(snap, u, tables[u].name()),
-                           options_.match.lsh)) {
-        pairs.emplace_back(std::min(u, target_idx),
-                           std::max(u, target_idx));
-      } else {
-        obs::Increment(pairs_skipped_);
-        if (stats != nullptr) ++stats->skipped;
-      }
-    }
-  } else {
-    for (size_t u = 0; u < n; ++u) {
-      if (u == target_idx) continue;
-      pairs.emplace_back(std::min(u, target_idx), std::max(u, target_idx));
-    }
-  }
-
-  std::vector<std::vector<ColumnMatch>> matches =
-      ParallelMap<std::vector<ColumnMatch>>(
-          pool_.get(), pairs.size(), /*grain=*/1, [&](size_t p) {
-            const auto& [i, j] = pairs[p];
-            LakeSketchCache::TableSketchesPin left =
-                snap.sketch_cache->GetOrBuild(i);
-            LakeSketchCache::TableSketchesPin right =
-                snap.sketch_cache->GetOrBuild(j);
-            return MatchSchemas(tables[i], *left, tables[j], *right,
-                                options_.match);
-          });
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    const auto& [i, j] = pairs[p];
-    match_store_.SetMatches(tables[i].name(), tables[j].name(),
-                            ToPairMatches(std::move(matches[p])));
-  }
-  obs::Increment(pairs_rescored_, pairs.size());
-  if (stats != nullptr) stats->rescored += pairs.size();
-  obs::Increment(tables_rematched_);
-  return Status::OK();
 }
 
 Result<uint64_t> LakeService::Apply(const LakeMutation& mutation) {
@@ -270,15 +136,22 @@ Result<uint64_t> LakeService::Apply(const LakeMutation& mutation) {
       next->sketch_cache->CarryOver(*prev->sketch_cache, invalidated);
 
   // Incremental DRG maintenance: drop the target's pairs, re-score only
-  // pairs touching it, rebuild the graph canonically (see drg_delta.h).
+  // pairs touching it — the cold build's step with one table touched — and
+  // rebuild the graph canonically (see drg_delta.h).
   match_store_.PurgeTable(target);
-  profiles_.erase(target);
+  lsh_index_.RemoveTable(target);
   lineage.pairs_carried = match_store_.num_pairs();
   if (mutation.kind != LakeMutation::Kind::kDropTable) {
-    MatchStats stats;
-    AF_RETURN_NOT_OK(RematchTable(*next, target, &stats));
-    lineage.pairs_rescored = stats.rescored;
-    lineage.pairs_skipped = stats.skipped;
+    AF_ASSIGN_OR_RETURN(
+        TouchedMatchStats stats,
+        MatchTouchedTables(next->lake, {target}, *next->sketch_cache,
+                           options_.match, lsh_index_, match_store_,
+                           pool_.get()));
+    obs::Increment(pairs_rescored_, stats.pairs_scored);
+    obs::Increment(pairs_skipped_, stats.pairs_pruned());
+    obs::Increment(tables_rematched_);
+    lineage.pairs_rescored = stats.pairs_scored;
+    lineage.pairs_skipped = stats.pairs_pruned();
   }
   AF_ASSIGN_OR_RETURN(next->drg,
                       match_store_.BuildGraph(next->lake.TableNames()));

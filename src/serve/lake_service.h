@@ -5,9 +5,8 @@
 //
 //  * a mutation API — AddTable / AppendRows / DropTable — performing
 //    *incremental* DRG maintenance (only pairs touching the mutated table
-//    are re-scored; candidate generation for the touched table runs the
-//    pairwise LSH collision predicate against cached per-table profiles
-//    instead of rebuilding the lake-wide index) and *precise* cache
+//    are re-scored, by the cold build's MatchTouchedTables step with one
+//    table touched) and *precise* cache
 //    invalidation (both caches carry every untouched entry into the next
 //    snapshot by pointer copy; only the touched table's entries rebuild);
 //  * a concurrent query API — Discover / Augment — that any number of
@@ -38,7 +37,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -63,9 +61,9 @@ namespace autofeat::serve {
 /// \brief Service configuration: how DRG edges are discovered and how
 /// queries run.
 struct ServeOptions {
-  /// Schema-matcher options for DRG discovery (candidate_mode kLsh enables
-  /// the incremental LSH profile path; kAllPairs re-scores the touched
-  /// table against every other table).
+  /// Schema-matcher options for DRG discovery (candidate_mode kLsh re-scores
+  /// only the touched table's LSH partners; kAllPairs re-scores it against
+  /// every other table).
   MatchOptions match;
   /// Per-query engine configuration. num_threads also sizes the service's
   /// maintenance pool (sketching + pair re-scoring fan out over it);
@@ -137,9 +135,9 @@ class LakeService {
   };
 
   /// Builds the service over `initial`: sketches every table, discovers
-  /// the epoch-0 DRG (kLsh candidate filtering via pairwise profiles when
-  /// configured) and prepares the caches. A non-null `metrics` receives
-  /// the `serve.*` counters plus both caches' counters for every epoch,
+  /// the epoch-0 DRG as BuildDrgByDiscovery does (every table touched on an
+  /// empty match store) and prepares the caches. A non-null `metrics`
+  /// receives the `serve.*` counters plus both caches' counters per epoch,
   /// and the `serve.query_latency_ns` / `serve.mutation_latency_ns`
   /// quantile histograms (non-deterministic — wall-clock derived). A
   /// non-null `event_log` receives the structured serving events
@@ -198,34 +196,8 @@ class LakeService {
   std::string LineageJson() const;
 
  private:
-  /// Per-mutation incremental-maintenance tallies feeding EpochLineage.
-  struct MatchStats {
-    size_t rescored = 0;
-    size_t skipped = 0;
-  };
-
   LakeService(ServeOptions options, obs::MetricsRegistry* metrics,
               obs::Tracer* tracer, obs::EventLog* event_log);
-
-  /// True when LSH candidate filtering is active (mirrors the
-  /// BuildDrgByDiscovery fallback rule: name-only edges are reachable when
-  /// threshold <= name_weight, and then every pair must be scored).
-  bool LshFilteringActive() const;
-
-  /// The cached LSH profile of `table` (position `index` in `snap`),
-  /// computing and memoising it on first use.
-  const std::vector<ColumnLshProfile>& ProfileFor(const LakeSnapshot& snap,
-                                                  size_t index,
-                                                  const std::string& name);
-
-  /// Re-scores every candidate pair touching `target` (present in
-  /// snap->lake) and updates the match store. Writer mutex held. A
-  /// non-null `stats` receives this call's rescored/skipped tallies.
-  Status RematchTable(const LakeSnapshot& snap, const std::string& target,
-                      MatchStats* stats = nullptr);
-
-  /// Builds a fresh epoch-0 match store for snap->lake. Writer mutex held.
-  Status MatchAllPairs(const LakeSnapshot& snap, MatchStats* stats = nullptr);
 
   /// Records one epoch's lineage (and its `epoch_publish` event).
   void RecordLineage(EpochLineage record);
@@ -268,10 +240,11 @@ class LakeService {
   std::vector<EpochLineage> lineage_;
 
   // Writer-side state (guarded by writer_mutex_): the canonical match
-  // store the DRG is rebuilt from, and the per-table LSH profiles.
+  // store the DRG is rebuilt from, and the LSH bucket index over every
+  // lake table (empty unless LSH filtering is active).
   std::mutex writer_mutex_;
   DrgMatchStore match_store_;
-  std::unordered_map<std::string, std::vector<ColumnLshProfile>> profiles_;
+  LshCandidateIndex lsh_index_;
 
   // The published snapshot (guarded by snapshot_mutex_ for the pointer
   // swap only; the pointee is immutable).

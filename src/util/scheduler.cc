@@ -1,7 +1,6 @@
 #include "util/scheduler.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <condition_variable>
 #include <exception>
@@ -168,7 +167,9 @@ void MorselParallelFor(ThreadPool* pool, size_t begin, size_t end,
   obs::Increment(calls);
 
   size_t helpers = lanes - 1;
-  std::atomic<size_t> helpers_live{helpers};
+  // Guarded by helper_mutex: helpers decrement and notify under it, so the
+  // wait below sees zero only once no helper can touch this frame again.
+  size_t helpers_live = helpers;
   std::mutex helper_mutex;
   std::condition_variable helper_cv;
   obs::Tracer* tracer = pool->tracer();
@@ -182,10 +183,8 @@ void MorselParallelFor(ThreadPool* pool, size_t begin, size_t end,
       auto [ran, stole] = state.RunLane(lane);
       obs::Increment(executed, ran);
       obs::Increment(steals, stole);
-      if (helpers_live.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(helper_mutex);
-        helper_cv.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(helper_mutex);
+      if (--helpers_live == 0) helper_cv.notify_all();
     });
   }
   auto [ran, stole] = state.RunLane(0);
@@ -200,9 +199,7 @@ void MorselParallelFor(ThreadPool* pool, size_t begin, size_t end,
   // instructions; don't let `state` leave scope under them.
   {
     std::unique_lock<std::mutex> lock(helper_mutex);
-    helper_cv.wait(lock, [&] {
-      return helpers_live.load(std::memory_order_acquire) == 0;
-    });
+    helper_cv.wait(lock, [&] { return helpers_live == 0; });
   }
   if (state.error) std::rethrow_exception(state.error);
 }

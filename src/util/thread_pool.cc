@@ -169,7 +169,9 @@ void ParallelFor(ThreadPool* pool, size_t begin, size_t end, size_t grain,
   // cursor runs dry. The caller participates too, so the pool being busy
   // with other work never deadlocks this loop.
   size_t helpers = std::min(pool->num_threads(), state.num_chunks - 1);
-  std::atomic<size_t> helpers_live{helpers};
+  // Guarded by helper_mutex: helpers decrement and notify under it, so the
+  // wait below sees zero only once no helper can touch this frame again.
+  size_t helpers_live = helpers;
   std::mutex helper_mutex;
   std::condition_variable helper_cv;
   obs::Tracer* tracer = pool->tracer();
@@ -181,10 +183,8 @@ void ParallelFor(ThreadPool* pool, size_t begin, size_t end, size_t grain,
     pool->Submit([&, ctx] {
       obs::ScopedWorkerSpan span(ctx, "thread_pool.worker");
       obs::Increment(chunks_helper, state.RunChunks());
-      if (helpers_live.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(helper_mutex);
-        helper_cv.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(helper_mutex);
+      if (--helpers_live == 0) helper_cv.notify_all();
     });
   }
   obs::Increment(chunks_caller, state.RunChunks());
@@ -197,9 +197,7 @@ void ParallelFor(ThreadPool* pool, size_t begin, size_t end, size_t grain,
   // instructions; don't let `state` leave scope under them.
   {
     std::unique_lock<std::mutex> lock(helper_mutex);
-    helper_cv.wait(lock, [&] {
-      return helpers_live.load(std::memory_order_acquire) == 0;
-    });
+    helper_cv.wait(lock, [&] { return helpers_live == 0; });
   }
   if (state.error) std::rethrow_exception(state.error);
 }

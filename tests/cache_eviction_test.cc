@@ -21,6 +21,7 @@
 #include "discovery/join_index_cache.h"
 #include "discovery/sketch_cache.h"
 #include "graph/drg.h"
+#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "relational/join_index.h"
 #include "table/column.h"
@@ -415,14 +416,41 @@ TEST(LakeSketchCacheEvictionTest, EvictAllKeepsPinsValidAndRebuilds) {
   cache.EvictAll();
   EXPECT_EQ(cache.num_resident(), 0u);
   EXPECT_EQ(cache.resident_bytes(), 0u);
-  // The pin still reads the evicted entry; the compat accessor transparently
+  // The pin still reads the evicted entry; a fresh pin transparently
   // rebuilds and serves identical content.
   ASSERT_EQ(pin->size(), 2u);
-  const std::vector<ColumnSketch>& again = cache.table_sketches(0);
-  ASSERT_EQ(again.size(), 2u);
-  EXPECT_EQ(again[0].values, (*pin)[0].values);
-  EXPECT_EQ(again[0].num_distinct, (*pin)[0].num_distinct);
+  LakeSketchCache::TableSketchesPin again = cache.GetOrBuild(0);
+  ASSERT_EQ(again->size(), 2u);
+  EXPECT_EQ((*again)[0].values, (*pin)[0].values);
+  EXPECT_EQ((*again)[0].num_distinct, (*pin)[0].num_distinct);
   EXPECT_EQ(cache.num_resident(), 1u);
+}
+
+TEST(LakeSketchCacheEvictionTest, EvictAllAppendsOneEventPerResidentEntry) {
+  DataLake lake = LakeOf({KeyTable("a", 20, 6), KeyTable("b", 20, 6),
+                          KeyTable("c", 20, 6)});
+  obs::EventLog events;
+  LakeSketchCache cache(&lake, /*max_sample=*/64);
+  cache.set_event_log(&events);
+  const size_t a_bytes = SketchEntryBytes(lake, 0);
+  LakeSketchCache::TableSketchesPin a = cache.GetOrBuild(0);
+  LakeSketchCache::TableSketchesPin c = cache.GetOrBuild(2);
+  cache.EvictAll();
+  // Only the two resident entries were evicted, in table order.
+  ASSERT_EQ(events.size(), 2u);
+  const std::string log = events.Jsonl(/*include_timestamps=*/false);
+  const size_t first = log.find(
+      "\"type\": \"cache_evict\", \"cache\": \"sketch\", \"table\": \"a\", "
+      "\"bytes\": " +
+      std::to_string(a_bytes));
+  const size_t second = log.find("\"table\": \"c\"");
+  EXPECT_NE(first, std::string::npos) << log;
+  EXPECT_NE(second, std::string::npos) << log;
+  EXPECT_LT(first, second);
+  EXPECT_EQ(log.find("\"table\": \"b\""), std::string::npos);
+  // Nothing left resident: a second sweep appends nothing.
+  cache.EvictAll();
+  EXPECT_EQ(events.size(), 2u);
 }
 
 TEST(LakeSketchCacheEvictionTest, OversizedEntryStaysPinOnly) {

@@ -1,20 +1,26 @@
 // MinHash-LSH candidate index: signature determinism, banding recall on
 // high-Jaccard pairs, the small-column containment rescue, cheap-profile
-// prefilters, thread-count independence, and the BuildDrgByDiscovery
-// candidate_mode wiring (LSH subset equality + the all-pairs fallback when
-// the threshold is reachable on name evidence alone).
+// prefilters, thread-count independence, Partners/CandidatePairs agreement
+// (also after RemoveTable/AddTable on fuzzed lakes), and the
+// BuildDrgByDiscovery candidate_mode wiring (LSH subset equality + the
+// all-pairs fallback when the threshold is reachable on name evidence
+// alone).
 
 #include "discovery/lsh_index.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "datagen/scale_lake.h"
 #include "discovery/data_lake.h"
 #include "obs/metrics.h"
+#include "qa/lake_fuzzer.h"
 #include "util/thread_pool.h"
 
 namespace autofeat {
@@ -34,6 +40,32 @@ Table MakeKeyTable(const std::string& table_name,
   for (int64_t v = lo; v < hi; ++v) key.AppendInt64(v);
   EXPECT_TRUE(table.AddColumn(column_name, std::move(key)).ok());
   return table;
+}
+
+using NamePair = std::pair<std::string, std::string>;
+
+// Every table of `lake` indexed over its cached sketches.
+LshCandidateIndex IndexLake(const DataLake& lake, LakeSketchCache& cache,
+                            const LshOptions& options) {
+  LshCandidateIndex index(options);
+  for (size_t t = 0; t < lake.num_tables(); ++t) {
+    index.AddTable(lake.tables()[t].name(),
+                   ComputeTableLshProfiles(lake.tables()[t],
+                                           *cache.GetOrBuild(t), options));
+  }
+  return index;
+}
+
+// The partners of `name` in a candidate pair list, ascending.
+std::vector<std::string> PartnersIn(const std::vector<NamePair>& pairs,
+                                    const std::string& name) {
+  std::vector<std::string> partners;
+  for (const auto& [a, b] : pairs) {
+    if (a == name) partners.push_back(b);
+    if (b == name) partners.push_back(a);
+  }
+  std::sort(partners.begin(), partners.end());
+  return partners;
 }
 
 std::set<std::string> EdgeSet(const DatasetRelationGraph& drg) {
@@ -96,11 +128,11 @@ TEST(LshCandidateIndexTest, SharedKeyDomainBecomesCandidate) {
   ASSERT_TRUE(lake.AddTable(MakeKeyTable("left", "id", 0, 100)).ok());
   ASSERT_TRUE(lake.AddTable(MakeKeyTable("right", "id", 0, 100)).ok());
   LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
-  LshCandidateIndex index =
-      LshCandidateIndex::Build(lake, cache, LshOptions{});
-  ASSERT_EQ(index.candidate_table_pairs().size(), 1u);
-  EXPECT_EQ(index.candidate_table_pairs()[0],
-            (std::pair<size_t, size_t>{0, 1}));
+  LshCandidateIndex index = IndexLake(lake, cache, LshOptions{});
+  ASSERT_EQ(index.CandidatePairs().size(), 1u);
+  EXPECT_EQ(index.CandidatePairs()[0], (NamePair{"left", "right"}));
+  EXPECT_EQ(index.Partners("left"), std::vector<std::string>{"right"});
+  EXPECT_EQ(index.Partners("right"), std::vector<std::string>{"left"});
 }
 
 TEST(LshCandidateIndexTest, DisjointKeyDomainsArePruned) {
@@ -108,9 +140,9 @@ TEST(LshCandidateIndexTest, DisjointKeyDomainsArePruned) {
   ASSERT_TRUE(lake.AddTable(MakeKeyTable("left", "id_a", 0, 100)).ok());
   ASSERT_TRUE(lake.AddTable(MakeKeyTable("right", "id_b", 1000, 1100)).ok());
   LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
-  LshCandidateIndex index =
-      LshCandidateIndex::Build(lake, cache, LshOptions{});
-  EXPECT_TRUE(index.candidate_table_pairs().empty());
+  LshCandidateIndex index = IndexLake(lake, cache, LshOptions{});
+  EXPECT_TRUE(index.CandidatePairs().empty());
+  EXPECT_TRUE(index.Partners("left").empty());
 }
 
 TEST(LshCandidateIndexTest, SmallColumnRescueCatchesContainment) {
@@ -123,8 +155,8 @@ TEST(LshCandidateIndexTest, SmallColumnRescueCatchesContainment) {
   LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
   LshOptions options;
   ASSERT_LE(40u, options.small_column_rescue);
-  LshCandidateIndex index = LshCandidateIndex::Build(lake, cache, options);
-  ASSERT_EQ(index.candidate_table_pairs().size(), 1u);
+  LshCandidateIndex index = IndexLake(lake, cache, options);
+  ASSERT_EQ(index.CandidatePairs().size(), 1u);
 
   // With the rescue disabled the pair may or may not band-collide; with
   // rescue but no overlap there must be no candidate.
@@ -132,9 +164,8 @@ TEST(LshCandidateIndexTest, SmallColumnRescueCatchesContainment) {
   ASSERT_TRUE(disjoint.AddTable(MakeKeyTable("fk_side", "ref", 50, 55)).ok());
   ASSERT_TRUE(disjoint.AddTable(MakeKeyTable("pk_side", "ref", 0, 40)).ok());
   LakeSketchCache disjoint_cache = LakeSketchCache::Build(disjoint, 4096);
-  EXPECT_TRUE(LshCandidateIndex::Build(disjoint, disjoint_cache, options)
-                  .candidate_table_pairs()
-                  .empty());
+  EXPECT_TRUE(
+      IndexLake(disjoint, disjoint_cache, options).CandidatePairs().empty());
 }
 
 TEST(LshCandidateIndexTest, MinDistinctPrefilterSkipsColumns) {
@@ -144,10 +175,15 @@ TEST(LshCandidateIndexTest, MinDistinctPrefilterSkipsColumns) {
   LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
   LshOptions options;
   options.min_distinct = 3;
-  LshCandidateIndex index = LshCandidateIndex::Build(lake, cache, options);
-  EXPECT_TRUE(index.candidate_table_pairs().empty());
-  EXPECT_EQ(index.num_indexed_columns(), 0u);
-  EXPECT_EQ(index.num_skipped_columns(), 2u);
+  LshCandidateIndex index = IndexLake(lake, cache, options);
+  EXPECT_TRUE(index.CandidatePairs().empty());
+  MatchOptions match;
+  match.candidate_mode = CandidateMode::kLsh;
+  match.lsh = options;
+  obs::MetricsRegistry metrics;
+  ASSERT_TRUE(BuildDrgByDiscovery(lake, match, nullptr, &metrics).ok());
+  EXPECT_EQ(metrics.CounterValue("lsh.columns_indexed"), 0u);
+  EXPECT_EQ(metrics.CounterValue("lsh.columns_skipped"), 2u);
 }
 
 TEST(LshCandidateIndexTest, CardinalityRatioBoundPrunesAsymmetricPairs) {
@@ -157,14 +193,12 @@ TEST(LshCandidateIndexTest, CardinalityRatioBoundPrunesAsymmetricPairs) {
   LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
   LshOptions options;
   options.max_cardinality_ratio = 4.0;  // 64/4 = 16 > 4: prune
-  EXPECT_TRUE(LshCandidateIndex::Build(lake, cache, options)
-                  .candidate_table_pairs()
-                  .empty());
+  EXPECT_TRUE(IndexLake(lake, cache, options).CandidatePairs().empty());
+  EXPECT_TRUE(IndexLake(lake, cache, options).Partners("small").empty());
   options.max_cardinality_ratio = 32.0;  // 16 <= 32: keep
-  EXPECT_EQ(LshCandidateIndex::Build(lake, cache, options)
-                .candidate_table_pairs()
-                .size(),
-            1u);
+  EXPECT_EQ(IndexLake(lake, cache, options).CandidatePairs().size(), 1u);
+  EXPECT_EQ(IndexLake(lake, cache, options).Partners("small"),
+            std::vector<std::string>{"large"});
 }
 
 TEST(LshCandidateIndexTest, TypeGroupsNeverShareBuckets) {
@@ -182,29 +216,37 @@ TEST(LshCandidateIndexTest, TypeGroupsNeverShareBuckets) {
   ASSERT_TRUE(doubles.AddColumn("c", std::move(dc)).ok());
   ASSERT_TRUE(lake.AddTable(std::move(doubles)).ok());
   LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
-  for (const auto& [i, j] :
-       LshCandidateIndex::Build(lake, cache, LshOptions{})
-           .candidate_table_pairs()) {
+  for (const NamePair& pair :
+       IndexLake(lake, cache, LshOptions{}).CandidatePairs()) {
     // Only a same-group collision could pair these two tables.
-    EXPECT_NE(std::make_pair(i, j), (std::pair<size_t, size_t>{0, 1}));
+    EXPECT_NE(pair, (NamePair{"doubles", "ints"}));
   }
 }
 
 TEST(LshCandidateIndexTest, ThreadCountIndependent) {
+  // Profiles are computed in a fan-out over the touched tables; the
+  // candidates and every counter derived from the index must not depend on
+  // the thread count.
   datagen::ScaleLakeSpec spec;
   spec.num_tables = 20;
   DataLake lake = datagen::BuildScaleLake(spec);
-  LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
-  LshCandidateIndex sequential =
-      LshCandidateIndex::Build(lake, cache, LshOptions{});
+  MatchOptions options;
+  options.candidate_mode = CandidateMode::kLsh;
+  obs::MetricsRegistry sequential;
+  auto drg1 = BuildDrgByDiscovery(lake, options, nullptr, &sequential);
   ThreadPool pool(4);
-  LshCandidateIndex parallel =
-      LshCandidateIndex::Build(lake, cache, LshOptions{}, &pool);
-  EXPECT_EQ(sequential.candidate_table_pairs(),
-            parallel.candidate_table_pairs());
-  EXPECT_EQ(sequential.signature_bytes(), parallel.signature_bytes());
-  EXPECT_EQ(sequential.num_bucket_collisions(),
-            parallel.num_bucket_collisions());
+  obs::MetricsRegistry parallel;
+  auto drg4 = BuildDrgByDiscovery(lake, options, &pool, &parallel);
+  ASSERT_TRUE(drg1.ok());
+  ASSERT_TRUE(drg4.ok());
+  EXPECT_EQ(drg1->OrderedFingerprint(), drg4->OrderedFingerprint());
+  for (const char* name : {"drg.candidate_pairs", "lsh.signature_bytes",
+                           "lsh.bucket_collisions", "lsh.columns_indexed"}) {
+    EXPECT_EQ(sequential.CounterValue(name), parallel.CounterValue(name))
+        << name;
+  }
+  EXPECT_EQ(sequential.GaugeValue("lsh_index.bytes"),
+            parallel.GaugeValue("lsh_index.bytes"));
 }
 
 TEST(LshCandidateIndexTest, RecordsCountersAndByteGauges) {
@@ -212,18 +254,100 @@ TEST(LshCandidateIndexTest, RecordsCountersAndByteGauges) {
   spec.num_tables = 10;
   DataLake lake = datagen::BuildScaleLake(spec);
   LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
+  LshCandidateIndex index = IndexLake(lake, cache, LshOptions{});
+  size_t collisions = 0;
+  const size_t num_pairs = index.CandidatePairs(&collisions).size();
+  size_t signature_bytes = 0;
+  for (size_t t = 0; t < lake.num_tables(); ++t) {
+    for (const ColumnLshProfile& profile : ComputeTableLshProfiles(
+             lake.tables()[t], *cache.GetOrBuild(t), LshOptions{})) {
+      signature_bytes += profile.signature_bytes;
+    }
+  }
+
+  MatchOptions options;
+  options.candidate_mode = CandidateMode::kLsh;
   obs::MetricsRegistry metrics;
-  LshCandidateIndex index =
-      LshCandidateIndex::Build(lake, cache, LshOptions{}, nullptr, &metrics);
+  ASSERT_TRUE(BuildDrgByDiscovery(lake, options, nullptr, &metrics).ok());
   EXPECT_EQ(metrics.GetCounter("lsh.bands")->value(), LshOptions{}.num_bands);
   EXPECT_EQ(metrics.GetCounter("lsh.signature_bytes")->value(),
-            index.signature_bytes());
+            signature_bytes);
   EXPECT_GT(metrics.GetCounter("lsh.columns_indexed")->value(), 0u);
+  EXPECT_EQ(metrics.GetCounter("lsh.bucket_collisions")->value(), collisions);
+  // The gauge covers the index, the signatures and the candidate list.
+  const size_t bytes = index.ApproxBytes() + signature_bytes +
+                       num_pairs * sizeof(std::pair<size_t, size_t>);
   EXPECT_EQ(metrics.GetGauge("lsh_index.bytes")->value(),
-            static_cast<int64_t>(index.ApproxBytes()));
+            static_cast<int64_t>(bytes));
   EXPECT_EQ(metrics.GetGauge("lsh_index.bytes_peak")->value(),
-            static_cast<int64_t>(index.ApproxBytes()));
-  EXPECT_GT(index.ApproxBytes(), index.signature_bytes());
+            static_cast<int64_t>(bytes));
+  EXPECT_GT(signature_bytes, 0u);
+}
+
+TEST(LshCandidateIndexTest, PartnersAgreeWithCandidatePairs) {
+  datagen::ScaleLakeSpec spec;
+  spec.num_tables = 25;
+  DataLake lake = datagen::BuildScaleLake(spec);
+  LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
+  LshCandidateIndex index = IndexLake(lake, cache, LshOptions{});
+  size_t pair_collisions = 0;
+  const std::vector<NamePair> pairs = index.CandidatePairs(&pair_collisions);
+  ASSERT_FALSE(pairs.empty());
+  EXPECT_TRUE(std::is_sorted(pairs.begin(), pairs.end()));
+  EXPECT_GE(pair_collisions, pairs.size());
+  for (const std::string& name : lake.TableNames()) {
+    EXPECT_EQ(index.Partners(name), PartnersIn(pairs, name)) << name;
+  }
+  EXPECT_TRUE(index.Partners("no_such_table").empty());
+}
+
+TEST(LshCandidateIndexTest, RemoveAndReAddMatchFreshIndexOnFuzzedLakes) {
+  // Incremental maintenance removes and re-adds single tables; afterwards
+  // every table's partners must equal the pairs containing it in a fresh
+  // index over the same tables, and the footprint must match too.
+  qa::LakeFuzzer fuzzer;
+  size_t lakes_with_pairs = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    DataLake lake = fuzzer.Generate(seed).lake;
+    LakeSketchCache cache = LakeSketchCache::Build(lake, 4096);
+    LshCandidateIndex incremental = IndexLake(lake, cache, LshOptions{});
+    const std::vector<std::string> names = lake.TableNames();
+    auto profiles_of = [&](size_t t) {
+      return ComputeTableLshProfiles(lake.tables()[t], *cache.GetOrBuild(t),
+                                     LshOptions{});
+    };
+    // Drop every other table, then re-add them in reverse order (fresh
+    // slots, reused slots), and re-add one table in place.
+    for (size_t t = 0; t < names.size(); t += 2) {
+      incremental.RemoveTable(names[t]);
+    }
+    for (size_t t = names.size(); t-- > 0;) {
+      if (t % 2 == 0) incremental.AddTable(names[t], profiles_of(t));
+    }
+    incremental.AddTable(names.back(), profiles_of(names.size() - 1));
+
+    LshCandidateIndex fresh = IndexLake(lake, cache, LshOptions{});
+    const std::vector<NamePair> pairs = fresh.CandidatePairs();
+    if (!pairs.empty()) ++lakes_with_pairs;
+    EXPECT_EQ(incremental.CandidatePairs(), pairs) << "seed " << seed;
+    for (const std::string& name : names) {
+      EXPECT_EQ(incremental.Partners(name), PartnersIn(pairs, name))
+          << "seed " << seed << " table " << name;
+    }
+    EXPECT_EQ(incremental.ApproxBytes(), fresh.ApproxBytes());
+
+    // Removing a table drops exactly the pairs containing it.
+    incremental.RemoveTable(names.front());
+    std::vector<NamePair> without;
+    for (const NamePair& p : pairs) {
+      if (p.first != names.front() && p.second != names.front()) {
+        without.push_back(p);
+      }
+    }
+    EXPECT_EQ(incremental.CandidatePairs(), without) << "seed " << seed;
+    EXPECT_TRUE(incremental.Partners(names.front()).empty());
+  }
+  EXPECT_GE(lakes_with_pairs, 3u);
 }
 
 TEST(DiscoveryCandidateModeTest, LshFindsExactlyTheAllPairsEdges) {

@@ -208,6 +208,24 @@ TEST(MorselParallelForTest, InlineWhenPoolIsNullOrSingleThreaded) {
   EXPECT_EQ(20, std::accumulate(out.begin(), out.end(), 0));
 }
 
+TEST(MorselParallelForTest, ThousandsOfTinyCallsReturnCleanly) {
+  // Helper lanes signal completion through a mutex and counter in the
+  // caller's frame, so the caller must not return while a helper still
+  // touches them. Many short calls back to back keep that window hot; the
+  // sanitizer lanes turn a premature return into a use-after-scope report.
+  ThreadPool pool(4);
+  std::atomic<size_t> ran{0};
+  size_t expected = 0;
+  for (size_t call = 0; call < 4000; ++call) {
+    const size_t n = 2 + call % 4;
+    expected += n;
+    MorselParallelFor(&pool, 0, n, /*morsel_size=*/1, [&](size_t) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_EQ(ran.load(), expected);
+}
+
 TEST(ParallelMapWithTest, BothKindsProduceIdenticalIndexOrderedResults) {
   // The scheduler decides placement, never results: identical output vector
   // for any (kind, thread count) combination.

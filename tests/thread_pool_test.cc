@@ -111,6 +111,24 @@ TEST(ParallelMapTest, PreservesIndexOrder) {
             }));
 }
 
+TEST(ParallelForTest, ThousandsOfTinyCallsReturnCleanly) {
+  // Helpers signal completion through a mutex and counter in the caller's
+  // frame, so the caller must not return while a helper still touches them.
+  // Many short calls back to back keep that window hot; the sanitizer lanes
+  // turn a premature return into a use-after-scope report.
+  ThreadPool pool(4);
+  std::atomic<size_t> ran{0};
+  size_t expected = 0;
+  for (size_t call = 0; call < 4000; ++call) {
+    const size_t n = 2 + call % 4;
+    expected += n;
+    ParallelFor(&pool, 0, n, /*grain=*/1, [&](size_t) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_EQ(ran.load(), expected);
+}
+
 TEST(DeriveSeedTest, StreamsAreStableAndDistinct) {
   EXPECT_EQ(DeriveSeed(42, 0), DeriveSeed(42, 0));
   EXPECT_NE(DeriveSeed(42, 0), DeriveSeed(42, 1));
