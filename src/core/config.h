@@ -101,13 +101,11 @@ struct AutoFeatConfig {
   /// order — the digest is byte-identical across kinds and thread counts.
   SchedulerKind scheduler = SchedulerKind::kMorsel;
 
-  /// Global memory budget in bytes for the lake-wide caches (join-key
-  /// indexes during discovery; column sketches during DRG construction —
-  /// the phases do not overlap, so each cache is bounded by the full
-  /// budget). 0 = unbounded. Under a budget the caches evict
-  /// least-recently-used entries (largest first within a batch) and rebuild
-  /// them on the next miss; results are byte-identical at any budget, only
-  /// wall time changes (bench/oocore gates the slowdown).
+  /// Memory budget in bytes for the join-key index cache, 0 = unbounded
+  /// (MatchOptions::memory_budget_bytes bounds the sketch cache). It bounds
+  /// each cache, not their sum: serving keeps both per epoch alive, and
+  /// pinned older epochs keep theirs. Results are byte-identical at any
+  /// budget; only wall time changes (bench/oocore gates it).
   size_t memory_budget_bytes = 0;
 
   /// Eviction-schedule stress for qa/bench runs: evict everything (or a

@@ -1,56 +1,31 @@
-// Lake-wide cache of interned join-key indexes, with an optional memory
-// budget enforced by cost-aware LRU eviction.
+// Lake-wide cache of interned join-key indexes.
 //
 // Every BFS candidate edge, top-k materialisation and baseline join probes
-// some lake table on some key column. Before this cache each probe re-hashed
-// the right key column from scratch; now the dictionary + CSR index + the
-// deterministic cardinality-normalisation representative for a given
-// (table, key column) pair are built at most once per residency — across the
-// discovery frontier, the ML evaluation stage and the ARDA/MAB/JoinAll
-// baselines, and across threads (sibling of LakeSketchCache, which plays
-// the same role for DRG construction).
+// some lake table on some key column. The dictionary + CSR index + the
+// deterministic cardinality-normalisation representative of a (table, key
+// column) pair are built at most once per residency and shared across the
+// discovery frontier, ML evaluation, the ARDA/MAB/JoinAll baselines and
+// threads. The cache is an adapter over PinnedLruCache, keyed
+// "table\0column" (budget, eviction, pins, carry-over and byte gauges live
+// there). An entry is a pure function of (table contents, column, seed), so
+// results are byte-identical under any eviction schedule (the
+// `cache.eviction_oblivious` fuzzer invariant).
 //
-// Memory budget: with budget_bytes > 0 the cache keeps its resident entries
-// within the budget by evicting, on each insertion, the least-recently-used
-// entries first (larger footprint first among entries touched by the same
-// batch operation — freeing the most bytes per eviction is the cost-aware
-// tie-break; Prewarm stamps all its entries with one recency tick, so the
-// tie is real there). An entry whose own footprint exceeds the budget is
-// handed to the caller but never becomes resident. Evicted entries are
-// rebuilt on the next request (rebuild-on-miss); because every entry is a
-// pure function of (table contents, column, seed) — never of build
-// interleaving or eviction schedule — results are byte-identical under any
-// eviction schedule (the `cache.eviction_oblivious` fuzzer invariant).
-//
-// Callers receive a shared_ptr pin, so an entry evicted while a worker is
-// mid-join stays alive until the last pin drops; the budget bounds the
-// cache-resident bytes (`join_index_cache.bytes` gauge), matching what
-// eviction can actually reclaim.
-//
-// Thread safety: GetOrBuild may be called concurrently from pool workers;
-// concurrent requests for one entry build it once (the per-entry build
-// mutex serialises builders; latecomers count as hits). Lock order: a
-// build mutex may acquire the cache mutex, never the reverse — eviction
-// only takes the cache mutex, so it cannot deadlock against builders.
-//
-// Metrics semantics (and why): `requests` and `builds` (first-time builds)
-// are workload-determined and stay deterministic; `hits`, `rebuilds`,
-// `evictions` and the byte gauges depend on the eviction schedule and are
-// registered non-deterministic so the obs digest is identical between
-// evicted and unevicted runs. `key_cardinality` records only first-time
-// builds (rebuilds reproduce the same index).
+// Metrics: `requests`, first-time `builds` and `key_cardinality` (first
+// builds only) are workload-determined and deterministic; `hits` and
+// `rebuilds`, like the core's eviction metrics, depend on the eviction
+// schedule and are registered non-deterministic, so the obs digest is the
+// same for evicted and unevicted runs.
 
 #ifndef AUTOFEAT_DISCOVERY_JOIN_INDEX_CACHE_H_
 #define AUTOFEAT_DISCOVERY_JOIN_INDEX_CACHE_H_
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
+#include "discovery/pinned_lru_cache.h"
 #include "obs/metrics.h"
 #include "relational/join_index.h"
 #include "util/status.h"
@@ -58,7 +33,6 @@
 namespace autofeat {
 
 namespace obs {
-class EventLog;
 class Tracer;
 }  // namespace obs
 
@@ -66,112 +40,67 @@ class DataLake;
 class DatasetRelationGraph;
 class ThreadPool;
 
-/// \brief Thread-safe (table, key column) -> JoinKeyIndex cache over a lake,
-/// optionally bounded by a byte budget with LRU eviction + rebuild-on-miss.
+/// \brief Thread-safe (table, key column) -> JoinKeyIndex cache over a lake.
 class JoinIndexCache {
  public:
-  /// A pinned cache entry: keeps the index alive across eviction until the
-  /// caller drops it.
+  /// Keeps the index alive across eviction until the caller drops it.
   using IndexPin = std::shared_ptr<const JoinKeyIndex>;
 
   /// `lake` must outlive the cache. `seed` fixes the representative-row
-  /// draws; two caches with the same seed over the same lake build
-  /// interchangeable entries (eviction + rebuild reproduces them exactly).
-  /// `budget_bytes` bounds the resident footprint (0 = unbounded). A
-  /// non-null `metrics` records the counters/gauges described in the file
-  /// comment. A non-null `tracer` records each index build as a
-  /// `join_index.build` worker span.
+  /// draws, so same-seed caches over one lake build interchangeable
+  /// entries. `budget_bytes` = 0 is unbounded. A non-null `tracer` records
+  /// each index build as a `join_index.build` worker span.
   JoinIndexCache(const DataLake* lake, uint64_t seed,
                  obs::MetricsRegistry* metrics = nullptr,
                  obs::Tracer* tracer = nullptr, size_t budget_bytes = 0);
 
   /// The index of `table`.`column`, built on first request and rebuilt
-  /// after eviction. The returned pin stays valid for as long as the caller
-  /// holds it. Fails if the table or column does not exist.
+  /// after eviction. Fails if the table or column does not exist.
   Result<IndexPin> GetOrBuild(const std::string& table,
                               const std::string& column);
 
-  /// Builds the index of every join target (to_node, to_column) reachable
-  /// through `drg` up front, fanning out over `pool` when given. Purely an
-  /// optimisation — lazy GetOrBuild fills any entry Prewarm missed or the
-  /// budget evicted. All prewarmed entries share one recency tick (they are
-  /// one batch), so under a budget the largest are evicted first.
+  /// Builds the index of every join target (to_node, to_column) of `drg` up
+  /// front, fanning out over `pool` when given, under one batch recency
+  /// tick. Purely an optimisation: GetOrBuild fills whatever is missing.
   void Prewarm(const DatasetRelationGraph& drg, ThreadPool* pool = nullptr);
 
   /// Copies the resident entries of `prev` whose table is neither in
-  /// `invalidated_tables` nor absent from this cache's lake — the serving
-  /// layer's precise invalidation: a mutation touching one table evicts
-  /// exactly that table's entries from the next snapshot's cache, and
-  /// every other entry survives by pointer copy. Both caches must share
-  /// the seed (entries are pure functions of (table contents, column,
-  /// seed); with differing seeds nothing is carried). Sticky failures are
-  /// not carried — they re-resolve against the new lake. Respects this
-  /// cache's budget. Call before publishing the cache; `prev` may be
-  /// serving concurrent readers. Returns the number of entries installed
-  /// (the serving layer's epoch-lineage carry-over count).
+  /// `invalidated_tables` nor absent from this cache's lake (see
+  /// PinnedLruCache::CarryOver); nothing when the seeds differ. Call before
+  /// publishing the cache. Returns the number of entries installed.
   size_t CarryOver(const JoinIndexCache& prev,
                    const std::unordered_set<std::string>& invalidated_tables);
 
-  /// Attaches a structured event log: evictions append `cache_evict` and
-  /// post-eviction rebuilds append `cache_rebuild` events (obs/event_log.h).
-  /// Call before the cache is shared across threads.
-  void set_event_log(obs::EventLog* log) { event_log_ = log; }
+  /// Attaches the `cache_evict` / `cache_rebuild` event log.
+  void set_event_log(obs::EventLog* log) { core_.set_event_log(log); }
 
-  /// Evicts every resident entry (the adversarial stress schedule of the
-  /// eviction-obliviousness invariant). Outstanding pins stay valid.
-  void EvictAll();
-
-  /// Evicts the resident entries whose key hash has the same low bit as
-  /// `draw` — a deterministic function of (resident set, draw), used by the
-  /// seeded random eviction-stress schedule.
-  void EvictRandomHalf(uint64_t draw);
+  /// The eviction-stress schedules; outstanding pins stay valid.
+  void EvictAll() { core_.EvictAll(); }
+  void EvictRandomHalf(uint64_t draw) { core_.EvictRandomHalf(draw); }
 
   /// Entries ever created (resident or evicted).
-  size_t num_entries() const;
+  size_t num_entries() const { return core_.num_entries(); }
   /// Entries currently holding a built index.
-  size_t num_resident() const;
-  /// Sum of the resident entries' ApproxBytes (== the bytes gauge).
-  size_t resident_bytes() const;
-  size_t budget_bytes() const { return budget_bytes_; }
+  size_t num_resident() const { return core_.num_resident(); }
+  /// Sum of the resident entries' ApproxBytes.
+  size_t resident_bytes() const { return core_.resident_bytes(); }
 
  private:
-  struct Entry {
-    std::mutex build_mutex;  // serialises builders; see lock order above
-    // All fields below are guarded by the cache-wide mutex_.
-    IndexPin index;          // null when not built or evicted
-    size_t bytes = 0;        // ApproxBytes of `index` while resident
-    uint64_t last_used = 0;  // recency tick of the latest request
-    bool ever_built = false; // distinguishes builds from rebuilds
-    Status failure;          // sticky lookup failure (bad table/column)
-    bool failed = false;
-  };
+  using Core = PinnedLruCache<JoinKeyIndex>;
 
-  std::shared_ptr<Entry> EntryFor(const std::string& key, uint64_t tick);
   Result<IndexPin> GetOrBuildWithTick(const std::string& table,
                                       const std::string& column,
                                       uint64_t tick);
-  // Drops resident entries (skipping `keep`) until resident_bytes_ +
-  // incoming <= budget. Caller holds mutex_.
-  void EvictForLocked(size_t incoming, const Entry* keep);
-  void Account(int64_t delta);
 
   const DataLake* lake_;
   uint64_t seed_;
-  size_t budget_bytes_;
   obs::Tracer* tracer_;
-  obs::EventLog* event_log_ = nullptr;
   obs::Counter* requests_;
   obs::Counter* builds_;
   obs::Counter* hits_;
   obs::Counter* rebuilds_;
-  obs::Counter* evictions_;
-  obs::Gauge* bytes_;
-  obs::Gauge* bytes_peak_;
   obs::Histogram* key_cardinality_;
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, std::shared_ptr<Entry>> entries_;
-  size_t resident_bytes_ = 0;
-  uint64_t tick_ = 0;
+  Core core_;
 };
 
 }  // namespace autofeat

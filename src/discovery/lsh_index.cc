@@ -2,21 +2,11 @@
 
 #include <algorithm>
 
+#include "util/hash.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
 namespace autofeat {
-
-uint64_t LshValueHash(const std::string& value) {
-  // FNV-1a 64: platform-stable, unlike std::hash (whose result may differ
-  // across standard libraries and would leak into the candidate list).
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : value) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 MinHashSignature ComputeMinHashSignature(const ColumnSketch& sketch,
                                          size_t num_hashes) {
@@ -28,7 +18,7 @@ MinHashSignature ComputeMinHashSignature(const ColumnSketch& sketch,
     // splitmix64 finaliser in 64-bit lanes, bit-exact with DeriveSeed — the
     // signatures feed the candidate list and must not depend on the
     // build's ISA.
-    simd::MinHashUpdate(LshValueHash(value), sig.mins.data(), num_hashes);
+    simd::MinHashUpdate(Fnv1a64(value), sig.mins.data(), num_hashes);
   }
   return sig;
 }
@@ -39,7 +29,7 @@ MinHashSignature ComputeMinHashSignatureReference(const ColumnSketch& sketch,
   if (sketch.values.empty() || num_hashes == 0) return sig;
   sig.mins.assign(num_hashes, ~uint64_t{0});
   for (const auto& value : sketch.values) {
-    uint64_t base = LshValueHash(value);
+    uint64_t base = Fnv1a64(value);
     for (size_t k = 0; k < num_hashes; ++k) {
       uint64_t h = DeriveSeed(base, k);
       if (h < sig.mins[k]) sig.mins[k] = h;
@@ -95,7 +85,7 @@ ColumnLshProfile ComputeColumnLshProfile(const ColumnSketch& sketch,
     const uint64_t rescue_stream_base = 2 * options.num_bands;
     for (const auto& value : sketch.values) {
       profile.bucket_keys.push_back(
-          DeriveSeed(LshValueHash(value), rescue_stream_base + group));
+          DeriveSeed(Fnv1a64(value), rescue_stream_base + group));
     }
   }
   std::sort(profile.bucket_keys.begin(), profile.bucket_keys.end());

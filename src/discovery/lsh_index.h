@@ -77,12 +77,10 @@ struct MinHashSignature {
   }
 };
 
-/// Platform-stable 64-bit FNV-1a of a value string (the per-value base hash
-/// every derived MinHash row mixes from).
-uint64_t LshValueHash(const std::string& value);
-
 /// Signature of one sketch: mins[k] = min over values of
-/// DeriveSeed(LshValueHash(v), k). Pure function of the sketch's value set.
+/// DeriveSeed(Fnv1a64(v), k) (util/hash.h: platform-stable, unlike
+/// std::hash, so it cannot leak into the candidate list). Pure function of
+/// the sketch's value set.
 /// The derivation streams are batched through the SIMD MinHash kernel.
 MinHashSignature ComputeMinHashSignature(const ColumnSketch& sketch,
                                          size_t num_hashes);

@@ -57,12 +57,9 @@ struct MatchOptions {
   CandidateMode candidate_mode = CandidateMode::kAllPairs;
   /// MinHash-LSH tuning (only read when candidate_mode == kLsh).
   LshOptions lsh;
-  /// Memory budget in bytes for the column-sketch cache during DRG
-  /// construction (0 = unbounded): under a budget the cache evicts
-  /// least-recently-used table entries and rebuilds them on the next
-  /// request. Sketches are pure functions of (table, max_sample_values), so
-  /// the discovered DRG is byte-identical at any budget. Callers plumb
-  /// AutoFeatConfig::memory_budget_bytes here (autofeat_cli does).
+  /// Memory budget in bytes for the column-sketch cache (0 = unbounded;
+  /// see AutoFeatConfig::memory_budget_bytes). The discovered DRG is
+  /// byte-identical at any budget.
   size_t memory_budget_bytes = 0;
 };
 

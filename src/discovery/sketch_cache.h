@@ -1,5 +1,4 @@
-// Precomputed distinct-value sketches for DRG construction, with an
-// optional memory budget enforced by LRU eviction + rebuild-on-miss.
+// Precomputed distinct-value sketches for DRG construction.
 //
 // All-pairs joinability matching is quadratic in the number of tables, and
 // the naive formulation re-scans (and re-sketches) each column once per
@@ -11,32 +10,25 @@
 // containment/Jaccard estimates are stable under sampling (see
 // schema_matcher.h).
 //
-// Memory budget: with budget_bytes > 0 the per-table entries are bounded by
-// cost-aware LRU eviction exactly as in JoinIndexCache (least recently used
-// first; largest footprint first within one batch tick; an entry bigger
-// than the whole budget is handed out pin-only). Sketches are pure
-// functions of (table contents, max_sample), so rebuilds are byte-identical
-// and eviction never changes the discovered DRG. Callers hold entries
-// through shared_ptr pins, which stay valid across eviction.
+// LakeSketchCache is an adapter over PinnedLruCache keyed by table name
+// (budget, eviction, pins, carry-over and byte gauges live there).
+// Sketches are pure functions of (table contents, max_sample), so rebuilds
+// are byte-identical and eviction never changes the discovered DRG.
 
 #ifndef AUTOFEAT_DISCOVERY_SKETCH_CACHE_H_
 #define AUTOFEAT_DISCOVERY_SKETCH_CACHE_H_
 
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
+#include "discovery/pinned_lru_cache.h"
 #include "obs/metrics.h"
 #include "table/table.h"
 
 namespace autofeat {
-
-namespace obs {
-class EventLog;
-}  // namespace obs
 
 class DataLake;
 class ThreadPool;
@@ -71,102 +63,62 @@ double SketchContainment(const ColumnSketch& a, const ColumnSketch& b);
 double SketchJaccard(const ColumnSketch& a, const ColumnSketch& b);
 
 /// \brief Budget-aware cache of every lake column's sketch, one entry per
-/// table (columns of a table share value scans' cache locality), indexed by
-/// table position.
+/// table (columns of a table share value scans' cache locality).
 class LakeSketchCache {
  public:
-  /// A pinned per-table entry (sketches aligned with the table's column
-  /// order): stays valid across eviction until the caller drops it.
+  /// One table's sketches in column order; valid across eviction.
   using TableSketchesPin = std::shared_ptr<const std::vector<ColumnSketch>>;
 
-  /// `lake` must outlive the cache. `budget_bytes` bounds the resident
-  /// footprint (0 = unbounded). A non-null `metrics` counts
-  /// `sketch_cache.builds` (column sketches first computed — deterministic)
-  /// plus the schedule-dependent `sketch_cache.rebuilds` /
-  /// `sketch_cache.evictions` counters and `sketch_cache.bytes` /
-  /// `.bytes_peak` gauges (all registered non-deterministic, as in
-  /// JoinIndexCache).
+  /// `lake` must outlive the cache; `budget_bytes` = 0 is unbounded.
+  /// `metrics` counts `sketch_cache.builds` (column sketches first
+  /// computed — deterministic) and the schedule-dependent `.rebuilds`.
   LakeSketchCache(const DataLake* lake, size_t max_sample,
                   obs::MetricsRegistry* metrics = nullptr,
                   size_t budget_bytes = 0);
 
-  /// Constructs a cache over `lake` and prewarms every table (fanning out
-  /// over `pool` when given; per-table sketching records `sketch.table`
-  /// worker spans into the pool's attached tracer). With budget_bytes == 0
-  /// every entry stays resident.
+  /// A cache over `lake` with every table prewarmed (fanning out over
+  /// `pool`, whose tracer receives `sketch.table` worker spans).
   static LakeSketchCache Build(const DataLake& lake, size_t max_sample,
                                ThreadPool* pool = nullptr,
                                obs::MetricsRegistry* metrics = nullptr,
                                size_t budget_bytes = 0);
 
-  /// The sketches of table `table_index`, built on first request and
-  /// rebuilt after eviction. Thread-safe; concurrent requests build once.
+  /// The sketches of table `table_index` (a lake position, keyed by the
+  /// table's name), built on first request and rebuilt after eviction.
+  /// Thread-safe; concurrent requests build once.
   TableSketchesPin GetOrBuild(size_t table_index);
 
-  /// Builds every table's entry (one shared batch recency tick, as
-  /// JoinIndexCache::Prewarm).
+  /// Builds every table's entry under one shared batch recency tick.
   void PrewarmAll(ThreadPool* pool = nullptr);
 
   /// Copies the resident entries of `prev` for every table of this cache's
-  /// lake that exists in `prev`'s lake under the same *name* and is not in
-  /// `invalidated_tables` (serving-layer precise invalidation; entries are
-  /// matched by name because positions shift when a table is dropped).
-  /// Both caches must share max_sample; sketches are pure functions of
-  /// (table contents, max_sample), so carried pins equal a rebuild.
-  /// Respects this cache's budget. `prev` may be serving concurrent
-  /// readers. Returns the number of entries installed (the serving layer's
-  /// epoch-lineage carry-over count).
+  /// lake not in `invalidated_tables` (see PinnedLruCache::CarryOver);
+  /// nothing when max_sample differs. Returns the number installed.
   size_t CarryOver(const LakeSketchCache& prev,
                    const std::unordered_set<std::string>& invalidated_tables);
 
-  /// Attaches a structured event log: evictions append `cache_evict` and
-  /// post-eviction rebuilds append `cache_rebuild` events (obs/event_log.h).
-  /// Call before the cache is shared across threads.
-  void set_event_log(obs::EventLog* log) { event_log_ = log; }
+  /// Attaches the `cache_evict` / `cache_rebuild` event log.
+  void set_event_log(obs::EventLog* log) { core_.set_event_log(log); }
 
-  /// Evicts every resident entry (appending one `cache_evict` event each).
-  /// Outstanding pins stay valid.
-  void EvictAll();
+  /// Evicts every resident entry; outstanding pins stay valid.
+  void EvictAll() { core_.EvictAll(); }
 
-  size_t num_tables() const;
-  size_t max_sample() const { return max_sample_; }
   /// Entries currently holding built sketches.
-  size_t num_resident() const;
-  /// Sum of the resident entries' ApproxBytes (== the bytes gauge).
-  size_t resident_bytes() const;
-  size_t budget_bytes() const { return budget_bytes_; }
+  size_t num_resident() const { return core_.num_resident(); }
+  /// Sum of the resident entries' footprints.
+  size_t resident_bytes() const { return core_.resident_bytes(); }
 
  private:
-  struct Entry {
-    std::mutex build_mutex;  // serialises builders of this entry
-    // Guarded by State::mutex:
-    TableSketchesPin sketches;
-    size_t bytes = 0;
-    uint64_t last_used = 0;
-    bool ever_built = false;
-  };
-  // Behind a unique_ptr so the cache stays movable (mutexes are not).
-  struct State {
-    mutable std::mutex mutex;
-    std::vector<std::shared_ptr<Entry>> entries;
-    size_t resident_bytes = 0;
-    uint64_t tick = 0;
-  };
+  using Core = PinnedLruCache<std::vector<ColumnSketch>>;
 
   TableSketchesPin GetOrBuildWithTick(size_t table_index, uint64_t tick,
                                       ThreadPool* pool);
-  void EvictForLocked(size_t incoming, const Entry* keep);
 
   const DataLake* lake_;
   size_t max_sample_ = 0;
-  size_t budget_bytes_ = 0;
   obs::Counter* builds_;
   obs::Counter* rebuilds_;
-  obs::Counter* evictions_;
-  obs::Gauge* bytes_;
-  obs::Gauge* bytes_peak_;
-  obs::EventLog* event_log_ = nullptr;
-  std::unique_ptr<State> state_;
+  Core core_;
 };
 
 }  // namespace autofeat

@@ -87,7 +87,7 @@ class DatasetRelationGraph {
   /// Every edge instance, in insertion order.
   std::vector<DrgEdge> AllEdges() const;
 
-  /// An order-sensitive FNV-1a fingerprint of the node list and edge list
+  /// An order-sensitive text fingerprint of the node list and edge list
   /// (names, columns, weights, insertion order). Two graphs with equal
   /// fingerprints behave identically in every traversal above.
   std::string OrderedFingerprint() const;

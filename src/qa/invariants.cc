@@ -7,6 +7,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "discovery/data_lake.h"
@@ -428,71 +429,48 @@ Status CheckThreadCountInvariance(const FuzzedLake& fz) {
   return Status::OK();
 }
 
-// Sorted edge-line fingerprint of a DRG: byte-equal fingerprints mean the
-// same nodes, edges, join columns and weights.
-std::string DrgEdgeFingerprint(const DatasetRelationGraph& drg) {
-  std::vector<std::string> lines;
-  for (size_t a = 0; a < drg.num_nodes(); ++a) {
-    for (size_t b : drg.Neighbors(a)) {
-      if (b <= a) continue;
-      for (const JoinStep& step : drg.EdgesBetween(a, b)) {
-        std::ostringstream line;
-        line.precision(17);
-        line << drg.NodeName(a) << "." << step.from_column << ">"
-             << drg.NodeName(b) << "." << step.to_column << "="
-             << step.weight;
-        lines.push_back(line.str());
-      }
-    }
+// The discovered DRG's ordered fingerprint, then the deterministic obs
+// digest of its build; `sketch_bytes` receives the sketch cache's peak.
+Result<std::string> DiscoveredDrgFingerprint(const FuzzedLake& fz,
+                                             CandidateMode mode,
+                                             size_t threads,
+                                             size_t budget_bytes = 0,
+                                             size_t* sketch_bytes = nullptr) {
+  obs::MetricsRegistry metrics;
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) {
+    pool = std::make_unique<ThreadPool>(threads);
+    pool->set_metrics(&metrics);
   }
-  std::sort(lines.begin(), lines.end());
-  std::string out;
-  for (const auto& line : lines) {
-    out += line;
-    out += '\n';
+  MatchOptions options;
+  options.candidate_mode = mode;
+  options.memory_budget_bytes = budget_bytes;
+  AF_ASSIGN_OR_RETURN(
+      DatasetRelationGraph drg,
+      BuildDrgByDiscovery(fz.lake, options, pool.get(), &metrics));
+  if (sketch_bytes != nullptr) {
+    *sketch_bytes = metrics.GaugeValue("sketch_cache.bytes_peak");
   }
-  return out;
+  return drg.OrderedFingerprint() +
+         obs::DeterministicDigest(metrics, /*tracer=*/nullptr);
 }
 
 Status CheckLshDiscoveryDeterminism(const FuzzedLake& fz) {
   // LSH-mode DRG discovery (MinHash signatures, banding, candidate pruning)
   // must be a pure function of the lake: the graph and the deterministic
   // obs digest may not change across reruns or thread counts.
-  auto run = [&](size_t threads, std::string* fingerprint,
-                 std::string* digest) -> Status {
-    obs::MetricsRegistry metrics;
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 1) {
-      pool = std::make_unique<ThreadPool>(threads);
-      pool->set_metrics(&metrics);
-    }
-    MatchOptions options;
-    options.candidate_mode = CandidateMode::kLsh;
+  AF_ASSIGN_OR_RETURN(std::string base,
+                      DiscoveredDrgFingerprint(fz, CandidateMode::kLsh, 1));
+  for (const auto& [label, threads] :
+       {std::pair<const char*, size_t>{"rerun", 1}, {"4 threads", 4},
+        {"8 threads", 8}}) {
     AF_ASSIGN_OR_RETURN(
-        DatasetRelationGraph drg,
-        BuildDrgByDiscovery(fz.lake, options, pool.get(), &metrics));
-    *fingerprint = DrgEdgeFingerprint(drg);
-    *digest = obs::DeterministicDigest(metrics, /*tracer=*/nullptr);
-    return Status::OK();
-  };
-  std::string base_fp, base_digest;
-  AF_RETURN_NOT_OK(run(1, &base_fp, &base_digest));
-  struct Variant {
-    const char* label;
-    size_t threads;
-  };
-  for (const Variant& v :
-       {Variant{"rerun", 1}, Variant{"4 threads", 4}, Variant{"8 threads", 8}}) {
-    std::string fp, digest;
-    AF_RETURN_NOT_OK(run(v.threads, &fp, &digest));
-    if (fp != base_fp) {
-      return Violated(std::string("LSH-mode DRG differs on ") + v.label +
-                      ":\n--- baseline ---\n" + base_fp + "--- " + v.label +
-                      " ---\n" + fp);
-    }
-    if (digest != base_digest) {
-      return Violated(std::string("LSH-mode obs digest differs on ") +
-                      v.label + ": " + base_digest + " vs " + digest);
+        std::string run,
+        DiscoveredDrgFingerprint(fz, CandidateMode::kLsh, threads));
+    if (run != base) {
+      return Violated(std::string("LSH-mode DRG or obs digest differs on ") +
+                      label + ":\n--- baseline ---\n" + base + "\n--- " +
+                      label + " ---\n" + run);
     }
   }
   return Status::OK();
@@ -531,12 +509,12 @@ Status CheckColumnPermutationInvariance(const FuzzedLake& fz) {
 }
 
 Status CheckEvictionOblivious(const FuzzedLake& fz) {
-  // Cache entries (join-key indexes) are pure functions of (table contents,
-  // column, seed), so discovery output — ranked paths, scores, selected
-  // features AND the deterministic obs digest — must be byte-identical no
-  // matter when entries are evicted and rebuilt: never (baseline), between
-  // every BFS round, on a seeded random schedule, or whenever a tiny memory
-  // budget forces it.
+  // Cache entries (join-key indexes, column sketches) are pure functions of
+  // (table contents, column, seed), so discovery output — ranked paths,
+  // scores, selected features AND the deterministic obs digest — must be
+  // byte-identical no matter when entries are evicted and rebuilt: never
+  // (baseline), between every BFS round, on a seeded random schedule, or
+  // whenever a tiny memory budget forces it.
   AF_ASSIGN_OR_RETURN(DiscoveryRun baseline,
                       RunDiscovery(fz.lake, fz, 1, /*want_digest=*/true));
   struct Variant {
@@ -566,6 +544,27 @@ Status CheckEvictionOblivious(const FuzzedLake& fz) {
     if (stressed.digest != baseline.digest) {
       return Violated(std::string("obs digest changed under ") + v.label +
                       ": " + baseline.digest + " vs " + stressed.digest);
+    }
+  }
+
+  // The sketch cache: the discovered DRG (and digest) must not change under
+  // the tiny budget, nor under a third of the lake's sketch footprint. The
+  // sketches of default fuzzed lakes fit in 32KiB; the relative budget is
+  // what forces evictions and pin-only entries while pairs are scored.
+  for (CandidateMode mode : {CandidateMode::kAllPairs, CandidateMode::kLsh}) {
+    size_t footprint = 0;
+    AF_ASSIGN_OR_RETURN(std::string plain,
+                        DiscoveredDrgFingerprint(fz, mode, 1, 0, &footprint));
+    for (size_t budget : {kTinyBudget, std::max<size_t>(footprint / 3, 1)}) {
+      AF_ASSIGN_OR_RETURN(std::string budgeted,
+                          DiscoveredDrgFingerprint(fz, mode, 1, budget));
+      if (budgeted != plain) {
+        return Violated(
+            std::string(mode == CandidateMode::kLsh ? "LSH" : "all-pairs") +
+            " DRG or obs digest changed under a " + std::to_string(budget) +
+            "-byte sketch-cache budget:\n--- unbudgeted ---\n" + plain +
+            "\n--- budgeted ---\n" + budgeted);
+      }
     }
   }
   return Status::OK();
@@ -811,8 +810,9 @@ const std::vector<Invariant>& BuiltinInvariants() {
            "(all-pairs at 1/4 threads, LSH at 1)",
            CheckServeIncrementalEquivalence},
           {"cache.eviction_oblivious",
-           "discovery output and obs digest are byte-identical under "
-           "adversarial, random and budget-forced cache eviction schedules",
+           "discovery output, discovered DRGs and obs digests are "
+           "byte-identical under adversarial, random and budget-forced "
+           "cache eviction schedules",
            CheckEvictionOblivious},
           {"columnar.round_trip",
            "binary columnar write/read is value-identical for every lake "

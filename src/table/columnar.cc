@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "table/key_dictionary.h"
+#include "util/hash.h"
 
 namespace autofeat {
 
@@ -19,15 +20,6 @@ constexpr uint32_t kVersion = 1;
 constexpr size_t kHeaderBytes = 32;
 constexpr size_t kAlignment = 64;
 constexpr uint32_t kNullId = 0xFFFFFFFFu;
-
-uint64_t Fnv1a(const char* data, size_t n) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
 
 // ---- Little-endian encoding ------------------------------------------------
 
@@ -253,7 +245,7 @@ std::string WriteColumnarBuffer(const Table& table) {
   out.append(kMagic, sizeof(kMagic));
   PutU32(&out, kVersion);
   PutU64(&out, payload.size());
-  PutU64(&out, Fnv1a(payload.data(), payload.size()));
+  PutU64(&out, Fnv1a64(payload));
   PutU64(&out, 0);  // reserved; pads the header to 32 bytes
   out.append(payload);
   return out;
@@ -288,7 +280,7 @@ Result<Table> ReadColumnarBuffer(std::string_view data,
         std::to_string(payload_size) + " payload bytes, file carries " +
         std::to_string(data.size() - kHeaderBytes));
   }
-  uint64_t actual = Fnv1a(data.data() + kHeaderBytes, payload_size);
+  uint64_t actual = Fnv1a64(data.substr(kHeaderBytes, payload_size));
   if (actual != checksum) {
     std::ostringstream msg;
     msg << "columnar payload checksum mismatch (stored " << std::hex

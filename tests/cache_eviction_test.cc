@@ -1,8 +1,9 @@
 // Memory-budgeted cache eviction: LRU order, the cost-aware victim
 // tie-break, budget enforcement (the bytes gauges never exceed the budget),
 // rebuild-on-miss reproducibility, pin lifetime across eviction, and the
-// metrics-as-assertion accounting audit for both lake caches
-// (JoinIndexCache and LakeSketchCache).
+// metrics-as-assertion accounting audit — for the PinnedLruCache core
+// (sticky failures, table-scoped carry-over, gauge release on destruction)
+// and both lake caches built on it (JoinIndexCache and LakeSketchCache).
 //
 // The concurrent stress tests at the bottom are the TSan targets: workers
 // hammer GetOrBuild while other workers run the adversarial eviction
@@ -19,6 +20,7 @@
 #include "datagen/lake_builder.h"
 #include "discovery/data_lake.h"
 #include "discovery/join_index_cache.h"
+#include "discovery/pinned_lru_cache.h"
 #include "discovery/sketch_cache.h"
 #include "graph/drg.h"
 #include "obs/event_log.h"
@@ -70,6 +72,121 @@ size_t SketchEntryBytes(const DataLake& lake, size_t table_index) {
 
 int64_t Counter(const obs::MetricsRegistry& registry, const std::string& n) {
   return registry.CounterValue(n);
+}
+
+// ---------------------------------------------------------------------------
+// PinnedLruCache (the core both caches adapt)
+// ---------------------------------------------------------------------------
+
+using StringCache = PinnedLruCache<std::string>;
+using namespace std::string_literals;  // "table\0column"s keeps the '\0'
+
+// A builder producing `value` with footprint `bytes`, counting its calls.
+auto Builder(std::string value, size_t bytes, int* calls) {
+  return [value = std::move(value), bytes,
+          calls]() -> Result<StringCache::Built> {
+    ++*calls;
+    return StringCache::Built{std::make_shared<const std::string>(value),
+                              bytes};
+  };
+}
+
+TEST(PinnedLruCacheTest, SourcesAndStickyFailures) {
+  StringCache cache(nullptr, "test_cache", "test", /*budget_bytes=*/0);
+  int calls = 0;
+  StringCache::Lookup first = cache.GetOrBuild("t", Builder("v", 10, &calls));
+  ASSERT_TRUE(first.pin.ok());
+  EXPECT_EQ(**first.pin, "v");
+  EXPECT_EQ(first.source, StringCache::Source::kBuild);
+  StringCache::Lookup again = cache.GetOrBuild("t", Builder("w", 10, &calls));
+  EXPECT_EQ(again.source, StringCache::Source::kHit);
+  EXPECT_EQ(again.pin->get(), first.pin->get());
+  cache.EvictAll();
+  StringCache::Lookup rebuilt =
+      cache.GetOrBuild("t", Builder("v", 10, &calls));
+  EXPECT_EQ(rebuilt.source, StringCache::Source::kRebuild);
+  EXPECT_EQ(calls, 2);
+
+  // A failed build is cached: the builder never runs again for that key.
+  auto failing = [&calls]() -> Result<StringCache::Built> {
+    ++calls;
+    return Status::KeyError("no such table");
+  };
+  StringCache::Lookup failed = cache.GetOrBuild("missing", failing);
+  EXPECT_FALSE(failed.pin.ok());
+  EXPECT_EQ(failed.source, StringCache::Source::kBuild);
+  StringCache::Lookup sticky = cache.GetOrBuild("missing", failing);
+  EXPECT_FALSE(sticky.pin.ok());
+  EXPECT_EQ(sticky.pin.status().message(), "no such table");
+  EXPECT_EQ(sticky.source, StringCache::Source::kHit);
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(cache.num_entries(), 2u);
+  EXPECT_EQ(cache.num_resident(), 1u);
+}
+
+TEST(PinnedLruCacheTest, EqualTickAndBytesEvictsTheLowestKeyFirst) {
+  obs::MetricsRegistry registry;
+  obs::EventLog events;
+  StringCache cache(&registry, "test_cache", "test", /*budget_bytes=*/20);
+  cache.set_event_log(&events);
+  int calls = 0;
+  const uint64_t tick = cache.BatchTick();
+  for (const std::string& key : {"b\0x"s, "a\0y"s, "c"s}) {
+    cache.GetOrBuild(key, Builder(key, 10, &calls), tick);
+  }
+  // Inserting "c" evicted exactly one of the equally recent, equally large
+  // entries: the lowest key, "a\0y".
+  EXPECT_EQ(registry.CounterValue("test_cache.evictions"), 1);
+  const std::string log = events.Jsonl(/*include_timestamps=*/false);
+  EXPECT_NE(log.find("\"type\": \"cache_evict\", \"cache\": \"test\", "
+                     "\"table\": \"a\", \"column\": \"y\", \"bytes\": 10"),
+            std::string::npos)
+      << log;
+  EXPECT_EQ(cache.GetOrBuild("b\0x"s, Builder("", 10, &calls)).source,
+            StringCache::Source::kHit);
+}
+
+TEST(PinnedLruCacheTest, CarryOverIsTableScoped) {
+  StringCache prev(nullptr, "test_cache", "test", 0);
+  int calls = 0;
+  for (const std::string& key :
+       {"keep\0a"s, "keep\0b"s, "stale\0a"s, "gone"s, "keep"s}) {
+    prev.GetOrBuild(key, Builder(key, 8, &calls));
+  }
+  StringCache next(nullptr, "test_cache", "test", 0);
+  const size_t installed = next.CarryOver(
+      prev, /*invalidated_tables=*/{"stale"},
+      [](const std::string& table) { return table != "gone"; });
+  EXPECT_EQ(installed, 3u);  // keep\0a, keep\0b, keep
+  EXPECT_EQ(next.resident_bytes(), 24u);
+  StringCache::Lookup carried =
+      next.GetOrBuild("keep\0a"s, Builder("", 8, &calls));
+  EXPECT_EQ(carried.source, StringCache::Source::kHit);
+  EXPECT_EQ(carried.pin->get(),
+            prev.GetOrBuild("keep\0a"s, Builder("", 8, &calls)).pin->get());
+  EXPECT_EQ(next.GetOrBuild("stale\0a"s, Builder("", 8, &calls)).source,
+            StringCache::Source::kBuild);
+}
+
+TEST(PinnedLruCacheTest, DestroyedCacheGivesItsBytesBack) {
+  obs::MetricsRegistry registry;
+  int calls = 0;
+  StringCache outer(&registry, "test_cache", "test", 0);
+  outer.GetOrBuild("a", Builder("a", 100, &calls));
+  {
+    StringCache inner(&registry, "test_cache", "test", 0);
+    inner.GetOrBuild("b", Builder("b", 30, &calls));
+    EXPECT_EQ(registry.GaugeValue("test_cache.bytes"), 130);
+    // A moved-from cache has no state and gives nothing back; the bytes
+    // leave the gauge once, when the cache that owns them is destroyed.
+    StringCache moved(std::move(inner));
+    EXPECT_EQ(registry.GaugeValue("test_cache.bytes"), 130);
+  }
+  EXPECT_EQ(registry.GaugeValue("test_cache.bytes"), 100);
+  EXPECT_EQ(registry.GaugeValue("test_cache.bytes_peak"), 130);
+  // Move assignment releases the overwritten cache's bytes.
+  outer = StringCache(&registry, "test_cache", "test", 0);
+  EXPECT_EQ(registry.GaugeValue("test_cache.bytes"), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -436,7 +553,7 @@ TEST(LakeSketchCacheEvictionTest, EvictAllAppendsOneEventPerResidentEntry) {
   LakeSketchCache::TableSketchesPin a = cache.GetOrBuild(0);
   LakeSketchCache::TableSketchesPin c = cache.GetOrBuild(2);
   cache.EvictAll();
-  // Only the two resident entries were evicted, in table order.
+  // Only the two resident entries were evicted, in key (table name) order.
   ASSERT_EQ(events.size(), 2u);
   const std::string log = events.Jsonl(/*include_timestamps=*/false);
   const size_t first = log.find(

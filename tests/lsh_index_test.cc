@@ -21,6 +21,7 @@
 #include "discovery/data_lake.h"
 #include "obs/metrics.h"
 #include "qa/lake_fuzzer.h"
+#include "util/hash.h"
 #include "util/thread_pool.h"
 
 namespace autofeat {
@@ -118,9 +119,13 @@ TEST(MinHashSignatureTest, IdenticalSetsShareEveryBand) {
 }
 
 TEST(LshValueHashTest, StableAndSpread) {
-  EXPECT_EQ(LshValueHash("key"), LshValueHash("key"));
-  EXPECT_NE(LshValueHash("key"), LshValueHash("kez"));
-  EXPECT_NE(LshValueHash(""), LshValueHash("0"));
+  // The per-value base hash is FNV-1a 64: fixed reference values, so
+  // signatures (and the candidate list) cannot drift across platforms.
+  EXPECT_EQ(Fnv1a64(""), 0xCBF29CE484222325ULL);
+  EXPECT_EQ(Fnv1a64("a"), 0xAF63DC4C8601EC8CULL);
+  EXPECT_EQ(Fnv1a64("foobar"), 0x85944171F73967E8ULL);
+  EXPECT_NE(Fnv1a64("key"), Fnv1a64("kez"));
+  EXPECT_NE(Fnv1a64(""), Fnv1a64("0"));
 }
 
 TEST(LshCandidateIndexTest, SharedKeyDomainBecomesCandidate) {

@@ -147,6 +147,32 @@ TEST(LakeServiceTest, UntouchedSketchEntriesCarryOverByPointer) {
   EXPECT_NE(after->sketch_cache->GetOrBuild(1).get(), customers_before.get());
 }
 
+TEST(LakeServiceTest, ByteGaugesTrackOnlyLiveCaches) {
+  // Each epoch builds fresh caches and carries the untouched entries over;
+  // a retired epoch's caches must give their bytes back, so with no older
+  // snapshot pinned each gauge equals the current snapshot's caches.
+  obs::MetricsRegistry metrics;
+  Result<std::unique_ptr<LakeService>> service = LakeService::Create(
+      testsupport::MakeOrdersCustomersLake(), ServeOptions{}, &metrics);
+  ASSERT_TRUE(service.ok()) << service.status().message();
+  for (int i = 0; i < 8; ++i) {
+    // The query fills the join-index cache, so the appends carry entries.
+    ASSERT_TRUE((*service)->Discover("orders", "amount").ok());
+    Table rows("customers");
+    rows.AddColumn("cust", Column::Int64s({100 + i})).Abort();
+    rows.AddColumn("age", Column::Doubles({20.0 + i})).Abort();
+    ASSERT_TRUE((*service)->AppendRows("customers", rows).ok());
+  }
+  ASSERT_TRUE((*service)->Discover("orders", "amount").ok());
+  LakeService::SnapshotPin current = (*service)->snapshot();
+  ASSERT_GT(current->sketch_cache->resident_bytes(), 0u);
+  ASSERT_GT(current->join_cache->resident_bytes(), 0u);
+  EXPECT_EQ(metrics.GaugeValue("sketch_cache.bytes"),
+            static_cast<int64_t>(current->sketch_cache->resident_bytes()));
+  EXPECT_EQ(metrics.GaugeValue("join_index_cache.bytes"),
+            static_cast<int64_t>(current->join_cache->resident_bytes()));
+}
+
 TEST(LakeServiceTest, IncrementalDrgMatchesColdRebuildAfterMutations) {
   DataLake initial = testsupport::MakeOrdersCustomersLake();
   std::unique_ptr<LakeService> service = MakeService(initial);

@@ -222,8 +222,12 @@ TEST(SimdGatherTest, GatherDoublesByRowBitExact) {
                        got.data());
     GatherDoublesByRowScalar(src.data(), rows.data(), n, kNoMatch, missing,
                              want.data());
-    // Bitwise compare (NaN-safe).
-    EXPECT_EQ(0, std::memcmp(want.data(), got.data(), n * sizeof(double)));
+    // Bitwise compare (NaN-safe). memcmp needs non-null pointers even for
+    // 0 bytes; an empty vector's data() may be null.
+    ASSERT_EQ(want.size(), got.size());
+    if (n > 0) {
+      EXPECT_EQ(0, std::memcmp(want.data(), got.data(), n * sizeof(double)));
+    }
   }
 }
 
