@@ -1,13 +1,13 @@
-// Candidate-edge evaluation speedup harness (not a paper figure).
+// Join-path timing harness (not a paper figure).
 //
-// Times the full AutoFeat search over the synthetic lake twice at one
-// thread: once on the legacy execution path (string-keyed joins, every
-// candidate fully materialised) and once on the interned fast path
-// (KeyDictionary + JoinIndexCache + factorized scoring). The headline
-// number is the candidate-edge evaluation portion of discovery — total
-// discovery time minus the feature-selection share, which is identical
-// work on both paths. A micro section isolates the raw join kernels.
-// Emits BENCH_join_path.json so the perf trajectory is tracked across PRs.
+// Times the full AutoFeat search over the synthetic lake at one thread
+// (KeyDictionary + JoinIndexCache + factorized scoring) and splits it into
+// candidate-edge evaluation (total discovery time minus the
+// feature-selection share) and feature selection. A micro section is the
+// calibration: one base->satellite join through the string-keyed oracle
+// (JoinStringKeyed), the interned Join, and a prebuilt index's row mapping
+// alone; the mapped vs string-keyed ratio is the join speed-up. Emits
+// BENCH_join_path.json so the perf trajectory is tracked across changes.
 
 #include <cstdio>
 #include <memory>
@@ -32,13 +32,11 @@ struct DiscoverRun {
 };
 
 Result<DiscoverRun> RunDiscovery(const datagen::BuiltLake& built,
-                                 const DatasetRelationGraph& drg,
-                                 bool fast_path) {
+                                 const DatasetRelationGraph& drg) {
   AutoFeatConfig config;
   config.num_threads = 1;
   config.sample_rows = FullMode() ? 2000 : 1000;
   config.max_paths = FullMode() ? 2000 : 600;
-  config.join_fast_path = fast_path;
   AutoFeat engine(&built.lake, &drg, config);
 
   DiscoverRun run;
@@ -54,9 +52,9 @@ Result<DiscoverRun> RunDiscovery(const datagen::BuiltLake& built,
   return run;
 }
 
-// Untimed instrumented rerun of the fast path: its counters, memory gauges
+// Untimed instrumented rerun of the discovery: its counters, memory gauges
 // and trace ride along in BENCH_join_path.json / TRACE_join_path.json
-// without perturbing the timed (metrics-disabled) comparison above.
+// without perturbing the timed (metrics-disabled) run above.
 struct Instrumented {
   std::unique_ptr<obs::MetricsRegistry> metrics;
   std::unique_ptr<obs::Tracer> tracer;
@@ -71,7 +69,6 @@ Result<Instrumented> InstrumentedDiscovery(const datagen::BuiltLake& built,
   config.num_threads = 1;
   config.sample_rows = FullMode() ? 2000 : 1000;
   config.max_paths = FullMode() ? 2000 : 600;
-  config.join_fast_path = true;
   config.metrics_enabled = true;
   config.metrics = inst.metrics.get();
   config.tracer = inst.tracer.get();
@@ -166,54 +163,42 @@ int main() {
   auto drg = BuildDrgByDiscovery(built.lake, match);
   drg.status().Abort("drg discovery");
 
-  auto legacy = RunDiscovery(built, *drg, /*fast_path=*/false);
-  legacy.status().Abort("legacy discovery");
-  auto fast = RunDiscovery(built, *drg, /*fast_path=*/true);
-  fast.status().Abort("fast discovery");
-
-  std::printf("paths explored: legacy=%zu fast=%zu | ranked: legacy=%zu "
-              "fast=%zu\n\n",
-              legacy->paths_explored, fast->paths_explored, legacy->ranked,
-              fast->ranked);
-  std::printf("%-24s %12s %12s %8s\n", "phase", "legacy (s)", "fast (s)",
-              "speedup");
+  auto discovery = RunDiscovery(built, *drg);
+  discovery.status().Abort("discovery");
+  std::printf("paths explored: %zu | ranked: %zu\n\n",
+              discovery->paths_explored, discovery->ranked);
+  std::printf("%-24s %12s\n", "phase", "seconds");
   PrintRule(60);
-  auto row = [&](const char* phase, double before, double after) {
-    std::printf("%-24s %12.3f %12.3f %7.2fx\n", phase, before, after,
-                after > 0 ? before / after : 0.0);
-  };
-  row("discover_total", legacy->total_seconds, fast->total_seconds);
-  row("candidate_eval", legacy->candidate_eval_seconds,
-      fast->candidate_eval_seconds);
-  row("feature_selection", legacy->fs_seconds, fast->fs_seconds);
+  std::printf("%-24s %12.3f\n", "discover_total", discovery->total_seconds);
+  std::printf("%-24s %12.3f\n", "candidate_eval",
+              discovery->candidate_eval_seconds);
+  std::printf("%-24s %12.3f\n", "feature_selection", discovery->fs_seconds);
 
   size_t reps = FullMode() ? 200 : 50;
   auto micro = RunMicroJoins(built, *drg, reps);
   micro.status().Abort("micro joins");
   std::printf("\nmicro: %zu repeated base->satellite joins\n", reps);
+  std::printf("%-24s %12s %8s\n", "kernel", "seconds", "speedup");
   PrintRule(60);
-  row("join_string_keyed", micro->string_keyed_seconds,
-      micro->string_keyed_seconds);
-  row("join_interned", micro->string_keyed_seconds, micro->interned_seconds);
-  row("join_mapped_cached", micro->string_keyed_seconds,
-      micro->mapped_seconds);
-
-  double speedup = fast->candidate_eval_seconds > 0
-                       ? legacy->candidate_eval_seconds /
-                             fast->candidate_eval_seconds
-                       : 0.0;
-  std::printf("\ncandidate-edge evaluation speedup: %.2fx (target: >= 2x)\n",
-              speedup);
+  auto row = [&](const char* kernel, double seconds) {
+    std::printf("%-24s %12.3f %7.2fx\n", kernel, seconds,
+                seconds > 0 ? micro->string_keyed_seconds / seconds : 0.0);
+  };
+  row("join_string_keyed", micro->string_keyed_seconds);
+  row("join_interned", micro->interned_seconds);
+  row("join_mapped_cached", micro->mapped_seconds);
+  std::printf("\nmapped vs string-keyed join speedup: %.2fx\n",
+              micro->mapped_seconds > 0
+                  ? micro->string_keyed_seconds / micro->mapped_seconds
+                  : 0.0);
 
   auto instrumented = InstrumentedDiscovery(built, *drg);
   instrumented.status().Abort("instrumented discovery");
 
   WriteBenchJson(
       "join_path",
-      {{"discover_total_legacy", 1, legacy->total_seconds},
-       {"discover_total_fast", 1, fast->total_seconds},
-       {"candidate_eval_legacy", 1, legacy->candidate_eval_seconds},
-       {"candidate_eval_fast", 1, fast->candidate_eval_seconds},
+      {{"discover_total_fast", 1, discovery->total_seconds},
+       {"candidate_eval_fast", 1, discovery->candidate_eval_seconds},
        {"micro_join_string_keyed", 1, micro->string_keyed_seconds},
        {"micro_join_interned", 1, micro->interned_seconds},
        {"micro_join_mapped_cached", 1, micro->mapped_seconds}},

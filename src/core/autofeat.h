@@ -98,18 +98,14 @@ class AutoFeat {
       if (metrics_ != nullptr) pool_->set_metrics(metrics_);
       if (tracer_ != nullptr) pool_->set_tracer(tracer_);
     }
-    if (config_.join_fast_path) {
-      if (config_.join_cache != nullptr) {
-        // Serving layer: an external cache shared across queries. Entries
-        // are pure functions of (table contents, column, seed), so sharing
-        // is invisible in the results.
-        join_cache_ptr_ = config_.join_cache;
-      } else {
-        join_cache_ = std::make_unique<JoinIndexCache>(
-            lake_, config_.seed, metrics_, tracer_,
-            config_.memory_budget_bytes);
-        join_cache_ptr_ = join_cache_.get();
-      }
+    // The serving layer passes an external cache shared across queries.
+    // Entries are pure functions of (table contents, column, seed), so
+    // sharing is invisible in the results.
+    join_cache_ptr_ = config_.join_cache;
+    if (join_cache_ptr_ == nullptr) {
+      join_cache_ = std::make_unique<JoinIndexCache>(
+          lake_, config_.seed, metrics_, tracer_, config_.memory_budget_bytes);
+      join_cache_ptr_ = join_cache_.get();
     }
   }
 
@@ -117,10 +113,10 @@ class AutoFeat {
   /// callers can reuse it for DRG construction with the same knob.
   ThreadPool* thread_pool() const { return pool_.get(); }
 
-  /// The engine's join-index cache (null when config.join_fast_path is
-  /// off). Shared by discovery, top-k materialisation and any caller that
-  /// wants to join against the same lake with consistent representatives.
-  /// Points at config.join_cache when that external cache was supplied.
+  /// The engine's join-index cache (never null). Shared by discovery, top-k
+  /// materialisation and any caller that wants to join against the same
+  /// lake with consistent representatives. Points at config.join_cache when
+  /// that external cache was supplied.
   JoinIndexCache* join_index_cache() const { return join_cache_ptr_; }
 
   /// The engine's metrics registry / tracer (null unless

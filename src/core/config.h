@@ -8,7 +8,6 @@
 
 #include "fs/redundancy.h"
 #include "fs/relevance.h"
-#include "util/scheduler.h"
 
 namespace autofeat {
 
@@ -75,17 +74,6 @@ struct AutoFeatConfig {
   /// (0 = use all rows). Model training always sees the full data (§VI).
   size_t sample_rows = 2000;
 
-  /// Join fast path: intern key columns once per (lake table, key column)
-  /// in a shared JoinIndexCache and score BFS candidate edges through
-  /// factorized row mappings, materialising a joined Table only for states
-  /// that actually enter the frontier or reach the ML evaluator. When
-  /// false, the engine runs the pre-interning reference path (string-keyed
-  /// joins, full materialisation per candidate) — kept for differential
-  /// benchmarking (bench/join_path_eval); the two paths explore identical
-  /// path sets but may pick different cardinality-normalisation
-  /// representatives, so scores can differ in the last digits.
-  bool join_fast_path = true;
-
   /// Worker threads for frontier expansion and top-k path evaluation:
   /// 0 = one per hardware thread, 1 = legacy sequential path (no pool),
   /// n = a fixed-size pool of n workers. Results are byte-identical at any
@@ -93,13 +81,6 @@ struct AutoFeatConfig {
   /// and every stochastic task draws from an RNG stream derived from
   /// (seed, task_index).
   size_t num_threads = 1;
-
-  /// Loop runtime for the parallel phases (candidate evaluation, top-k path
-  /// evaluation): kMorsel deals fixed-size morsels across per-lane
-  /// work-stealing deques (skew-tolerant, no intermediate barrier),
-  /// kForkJoin is the shared-cursor ParallelFor. Both fold results in index
-  /// order — the digest is byte-identical across kinds and thread counts.
-  SchedulerKind scheduler = SchedulerKind::kMorsel;
 
   /// Memory budget in bytes for the join-key index cache, 0 = unbounded
   /// (MatchOptions::memory_budget_bytes bounds the sketch cache). It bounds
@@ -128,11 +109,11 @@ struct AutoFeatConfig {
   obs::Tracer* tracer = nullptr;
 
   /// Optional externally owned join-index cache (serving layer): when
-  /// non-null and join_fast_path is set, the engine uses it instead of
-  /// constructing a private one, so the cache outlives the engine and is
-  /// shared across queries. The cache must be built over the same lake the
-  /// engine reads and with the same seed (its entries are pure functions of
-  /// (table contents, column, seed), so sharing never changes results).
+  /// non-null, the engine uses it instead of constructing a private one, so
+  /// the cache outlives the engine and is shared across queries. The cache
+  /// must be built over the same lake the engine reads and with the same
+  /// seed (its entries are pure functions of (table contents, column,
+  /// seed), so sharing never changes results).
   JoinIndexCache* join_cache = nullptr;
 
   uint64_t seed = 42;

@@ -8,7 +8,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
+#include "util/scheduler.h"
 
 namespace autofeat::ml {
 
@@ -73,7 +73,7 @@ Result<CrossValidationResult> CrossValidate(
   };
   obs::TaskContext fold_ctx = obs::CaptureTaskContext(options.tracer);
   std::vector<FoldEval> evals = ParallelMapWith<FoldEval>(
-      options.scheduler, pool.get(), options.folds, /*grain=*/1,
+      SchedulerKind::kMorsel, pool.get(), options.folds, /*grain=*/1,
       [&](size_t fold) {
         obs::ScopedWorkerSpan fold_span(fold_ctx, "cv.fold");
         FoldEval ev;

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "ml/trainer.h"
-#include "util/scheduler.h"
 
 namespace autofeat::obs {
 class MetricsRegistry;
@@ -27,9 +26,6 @@ struct CrossValidationOptions {
   /// by (seed + fold) — and per-fold metrics are merged in fold order, so
   /// results are identical at any thread count.
   size_t num_threads = 1;
-  /// Loop runtime for parallel fold training (see util/scheduler.h); fold
-  /// metrics merge in fold order under either kind.
-  SchedulerKind scheduler = SchedulerKind::kMorsel;
   /// Optional observability sink: records `cv.runs`, `cv.folds_trained`
   /// and the `cv.fold_test_rows` histogram (all deterministic — fold
   /// assignment is a pure function of the seed).

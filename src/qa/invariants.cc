@@ -39,6 +39,7 @@ struct DiscoveryRun {
   DiscoveryResult result;
   std::string fingerprint;
   std::string digest;  // obs deterministic digest; empty unless requested
+  size_t join_index_bytes = 0;  // join_index_cache.bytes_peak, ditto
 };
 
 Result<DiscoveryRun> RunDiscovery(const DataLake& lake, const FuzzedLake& fz,
@@ -57,6 +58,8 @@ Result<DiscoveryRun> RunDiscovery(const DataLake& lake, const FuzzedLake& fz,
   run.fingerprint = DiscoveryFingerprint(run.result);
   if (want_digest) {
     run.digest = obs::DeterministicDigest(*engine.metrics(), engine.tracer());
+    run.join_index_bytes = static_cast<size_t>(
+        engine.metrics()->GaugeValue("join_index_cache.bytes_peak"));
   }
   return run;
 }
@@ -514,36 +517,40 @@ Status CheckEvictionOblivious(const FuzzedLake& fz) {
   // scores, selected features AND the deterministic obs digest — must be
   // byte-identical no matter when entries are evicted and rebuilt: never
   // (baseline), between every BFS round, on a seeded random schedule, or
-  // whenever a tiny memory budget forces it.
+  // whenever a memory budget forces it.
   AF_ASSIGN_OR_RETURN(DiscoveryRun baseline,
                       RunDiscovery(fz.lake, fz, 1, /*want_digest=*/true));
   struct Variant {
-    const char* label;
+    std::string label;
     size_t threads;
     EvictionStress stress;
     size_t budget_bytes;
   };
-  constexpr size_t kTinyBudget = 32 * 1024;
-  for (const Variant& v :
-       {Variant{"evict-all between BFS rounds", 1, EvictionStress::kEvictAll,
-                0},
-        Variant{"seeded random eviction", 1, EvictionStress::kRandom, 0},
-        Variant{"32KiB budget", 1, EvictionStress::kNone, kTinyBudget},
-        Variant{"32KiB budget + evict-all", 1, EvictionStress::kEvictAll,
-                kTinyBudget},
-        Variant{"evict-all at 4 threads", 4, EvictionStress::kEvictAll, 0}}) {
+  std::vector<Variant> variants = {
+      {"evict-all between BFS rounds", 1, EvictionStress::kEvictAll, 0},
+      {"seeded random eviction", 1, EvictionStress::kRandom, 0},
+      {"evict-all at 4 threads", 4, EvictionStress::kEvictAll, 0}};
+  // A default fuzzed lake's join indexes fit in 32KiB, so that budget never
+  // evicts; a third of the lake's footprint is what forces evictions.
+  for (size_t budget : EvictionStressBudgets(baseline.join_index_bytes)) {
+    std::string label = std::to_string(budget) + "-byte budget";
+    variants.push_back({label, 1, EvictionStress::kNone, budget});
+    variants.push_back(
+        {label + " + evict-all", 1, EvictionStress::kEvictAll, budget});
+  }
+  for (const Variant& v : variants) {
     AF_ASSIGN_OR_RETURN(DiscoveryRun stressed,
                         RunDiscovery(fz.lake, fz, v.threads,
                                      /*want_digest=*/true, v.stress,
                                      v.budget_bytes));
     if (stressed.fingerprint != baseline.fingerprint) {
-      return Violated(std::string("discovery output changed under ") +
-                      v.label + ":\n--- baseline ---\n" + baseline.fingerprint +
+      return Violated("discovery output changed under " + v.label +
+                      ":\n--- baseline ---\n" + baseline.fingerprint +
                       "--- " + v.label + " ---\n" + stressed.fingerprint);
     }
     if (stressed.digest != baseline.digest) {
-      return Violated(std::string("obs digest changed under ") + v.label +
-                      ": " + baseline.digest + " vs " + stressed.digest);
+      return Violated("obs digest changed under " + v.label + ": " +
+                      baseline.digest + " vs " + stressed.digest);
     }
   }
 
@@ -555,7 +562,7 @@ Status CheckEvictionOblivious(const FuzzedLake& fz) {
     size_t footprint = 0;
     AF_ASSIGN_OR_RETURN(std::string plain,
                         DiscoveredDrgFingerprint(fz, mode, 1, 0, &footprint));
-    for (size_t budget : {kTinyBudget, std::max<size_t>(footprint / 3, 1)}) {
+    for (size_t budget : EvictionStressBudgets(footprint)) {
       AF_ASSIGN_OR_RETURN(std::string budgeted,
                           DiscoveredDrgFingerprint(fz, mode, 1, budget));
       if (budgeted != plain) {
@@ -730,6 +737,10 @@ AutoFeatConfig FuzzDiscoveryConfig(const FuzzedLake& fz, size_t num_threads) {
   config.num_threads = num_threads;
   config.seed = fz.seed;
   return config;
+}
+
+std::vector<size_t> EvictionStressBudgets(size_t footprint_bytes) {
+  return {32 * 1024, std::max<size_t>(footprint_bytes / 3, 1)};
 }
 
 std::string DiscoveryFingerprint(const DiscoveryResult& result) {

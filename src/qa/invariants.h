@@ -43,8 +43,13 @@ Invariant PlantedNoNullsInvariant();
 std::vector<Invariant> RegistryInvariants(bool include_planted);
 
 /// The discovery configuration invariants use: KFK DRG, full rows
-/// (no sampling), fast path on, seeded from the lake's own seed.
+/// (no sampling), seeded from the lake's own seed.
 AutoFeatConfig FuzzDiscoveryConfig(const FuzzedLake& fz, size_t num_threads);
+
+/// The cache budgets cache.eviction_oblivious runs under, given a cache's
+/// unbudgeted footprint (join-index or sketch bytes_peak): a fixed 32 KiB
+/// and a third of the footprint.
+std::vector<size_t> EvictionStressBudgets(size_t footprint_bytes);
 
 /// Canonical text fingerprint of a DiscoveryResult: explored/pruned
 /// counters plus per-path score (17 significant digits), join steps and

@@ -4,15 +4,18 @@
 #include <unordered_set>
 #include <vector>
 
+#include "relational/join_index.h"
 #include "table/key_dictionary.h"
 
 namespace autofeat {
 
 namespace {
 
-// Appends `right`'s columns to `out` gathered by `right_rows` (sentinel ->
-// null), disambiguating name collisions with per-base suffix counters
-// instead of rescanning HasColumn per candidate suffix.
+// JoinStringKeyed's private materialiser, kept apart from the join-index
+// primitives so the oracle shares no code with what it checks. Appends
+// `right`'s columns to `out` gathered by `right_rows` (sentinel -> null),
+// disambiguating name collisions with per-base suffix counters instead of
+// rescanning HasColumn per candidate suffix.
 constexpr size_t kNoMatch = static_cast<size_t>(-1);
 
 Status AppendGatheredRightColumns(Table* out, const Table& right,
@@ -56,74 +59,62 @@ Result<Table> NormalizeJoinCardinality(const Table& right,
                                        const std::string& key_column,
                                        Rng* rng) {
   AF_ASSIGN_OR_RETURN(const Column* key, right.GetColumn(key_column));
-  // Dictionary ids are assigned in first-seen row order, so iterating them
-  // in id order reproduces the deterministic group order (and the per-group
-  // RNG stream) of the original string-keyed grouping.
-  KeyDictionary dict = KeyDictionary::Build(*key);
-  std::vector<size_t> keep;
-  keep.reserve(dict.num_keys());
-  for (uint32_t id = 0; id < dict.num_keys(); ++id) {
-    const uint32_t* rows = dict.rows_begin(id);
-    size_t count = dict.rows_count(id);
-    keep.push_back(count == 1 ? rows[0] : rows[rng->UniformIndex(count)]);
-  }
-  return right.TakeRows(keep);
+  JoinKeyIndex index = BuildJoinKeyIndex(*key, rng);
+  return right.TakeRows(std::vector<size_t>(index.representative.begin(),
+                                            index.representative.end()));
 }
 
 Result<JoinResult> Join(const Table& left, const std::string& left_key,
                         const Table& right, const std::string& right_key,
                         Rng* rng, const JoinOptions& options) {
   AF_ASSIGN_OR_RETURN(const Column* lkey, left.GetColumn(left_key));
+  AF_ASSIGN_OR_RETURN(const Column* rkey, right.GetColumn(right_key));
 
-  const Table* probe_side = &right;
-  Table normalized;
+  // Intern the right keys once. Normalisation draws one representative per
+  // key from them, which makes the paper's left join a probe of that index.
+  JoinKeyIndex index;
   if (options.normalize_cardinality) {
-    AF_ASSIGN_OR_RETURN(normalized,
-                        NormalizeJoinCardinality(right, right_key, rng));
-    probe_side = &normalized;
+    index = BuildJoinKeyIndex(*rkey, rng);
+    if (options.type == JoinType::kLeft) {
+      return LeftJoinWithIndex(left, left_key, right, index);
+    }
+  } else {
+    index.dict = KeyDictionary::Build(*rkey);
   }
-  AF_ASSIGN_OR_RETURN(const Column* rkey, probe_side->GetColumn(right_key));
 
-  // Intern the right keys once (one row per key when normalised, CSR lists
-  // otherwise); probing is typed and allocation-free for numeric keys.
-  KeyDictionary dict = KeyDictionary::Build(*rkey);
-
+  // Inner or un-normalised join: each left row pairs with the key's
+  // representative, with every row of its CSR list, or (left join,
+  // unmatched) with one null-padded row.
   JoinResult result;
-  result.stats.right_distinct_keys = dict.num_keys();
-
-  // Probe: gather the output row indices per side directly — materialising
-  // (left, right) pairs first would allocate and traverse the same data
-  // twice just to re-split it into these two vectors.
+  result.stats.right_distinct_keys = index.dict.num_keys();
   std::vector<size_t> left_rows;
-  std::vector<size_t> right_rows;  // kNoMatch where unmatched
+  std::vector<uint32_t> right_rows;
   left_rows.reserve(left.num_rows());
   right_rows.reserve(left.num_rows());
   for (size_t i = 0; i < left.num_rows(); ++i) {
-    uint32_t id = dict.Lookup(*lkey, i);
+    uint32_t id = index.dict.Lookup(*lkey, i);
+    const uint32_t* rows = &kNoMatchRow;
+    size_t count = options.type == JoinType::kLeft ? 1 : 0;
     if (id != KeyDictionary::kNoKey) {
       ++result.stats.matched_rows;
-      const uint32_t* rows = dict.rows_begin(id);
-      size_t count = dict.rows_count(id);
-      for (size_t r = 0; r < count; ++r) {
-        left_rows.push_back(i);
-        right_rows.push_back(rows[r]);
-      }
-    } else if (options.type == JoinType::kLeft) {
+      rows = options.normalize_cardinality ? &index.representative[id]
+                                           : index.dict.rows_begin(id);
+      count = options.normalize_cardinality ? 1 : index.dict.rows_count(id);
+    }
+    for (size_t r = 0; r < count; ++r) {
       left_rows.push_back(i);
-      right_rows.push_back(kNoMatch);
+      right_rows.push_back(rows[r]);
     }
   }
   result.stats.total_rows = left_rows.size();
 
-  // Materialise: left columns gathered by left index, right columns by
-  // right index (null where unmatched).
-  Table out(left.name());
+  result.table.set_name(left.name());
   for (size_t c = 0; c < left.num_columns(); ++c) {
-    AF_RETURN_NOT_OK(out.AddColumn(left.schema().field(c).name,
-                                   left.column(c).Take(left_rows)));
+    AF_RETURN_NOT_OK(result.table.AddColumn(left.schema().field(c).name,
+                                            left.column(c).Take(left_rows)));
   }
-  AF_RETURN_NOT_OK(AppendGatheredRightColumns(&out, *probe_side, right_rows));
-  result.table = std::move(out);
+  AF_RETURN_NOT_OK(AppendGatheredColumns(
+      right, right_rows, ResolveAppendedNames(left, right), &result.table));
   return result;
 }
 

@@ -83,10 +83,11 @@ inline Result<JoinResult> LeftJoin(const Table& left,
   return Join(left, left_key, right, right_key, rng, JoinOptions{});
 }
 
-/// Reference implementation of Join that compares keys as KeyAt strings and
-/// hashes the right side per call — the pre-interning execution path. Kept
-/// for differential testing against the dictionary-encoded Join and as the
-/// baseline side of bench/join_path_eval; not for production use.
+/// Reference implementation of Join that compares keys as KeyAt strings,
+/// hashes the right side per call and materialises through its own code.
+/// It is the differential oracle for Join and the engine (qa invariants,
+/// tests) and the calibration arm of bench/join_path_eval; nothing in the
+/// engine runs it.
 Result<JoinResult> JoinStringKeyed(const Table& left,
                                    const std::string& left_key,
                                    const Table& right,

@@ -10,19 +10,25 @@
 
 namespace autofeat {
 
-JoinKeyIndex BuildJoinKeyIndex(const Column& key, uint64_t rep_seed) {
+JoinKeyIndex BuildJoinKeyIndex(const Column& key, Rng* rng) {
   JoinKeyIndex index;
   index.dict = KeyDictionary::Build(key);
   uint32_t num_keys = index.dict.num_keys();
   index.representative.resize(num_keys);
-  Rng rng(rep_seed);
+  // Dictionary ids follow first-seen row order, so the draws below consume
+  // the stream in the same group order as a string-keyed grouping would.
   for (uint32_t id = 0; id < num_keys; ++id) {
     const uint32_t* rows = index.dict.rows_begin(id);
     size_t count = index.dict.rows_count(id);
     index.representative[id] =
-        count == 1 ? rows[0] : rows[rng.UniformIndex(count)];
+        count == 1 ? rows[0] : rows[rng->UniformIndex(count)];
   }
   return index;
+}
+
+JoinKeyIndex BuildJoinKeyIndex(const Column& key, uint64_t rep_seed) {
+  Rng rng(rep_seed);
+  return BuildJoinKeyIndex(key, &rng);
 }
 
 JoinRowMap MapLeftJoin(const Column& left_key, const JoinKeyIndex& index) {
@@ -145,6 +151,17 @@ std::vector<std::string> ResolveAppendedNames(const Table& left,
   return out;
 }
 
+Status AppendGatheredColumns(const Table& right,
+                             const std::vector<uint32_t>& right_rows,
+                             const std::vector<std::string>& names,
+                             Table* out) {
+  for (size_t c = 0; c < right.num_columns(); ++c) {
+    AF_RETURN_NOT_OK(
+        out->AddColumn(names[c], GatherColumn(right.column(c), right_rows)));
+  }
+  return Status::OK();
+}
+
 Result<JoinResult> LeftJoinWithIndex(const Table& left,
                                      const std::string& left_key,
                                      const Table& right,
@@ -154,18 +171,10 @@ Result<JoinResult> LeftJoinWithIndex(const Table& left,
 
   JoinResult result;
   result.stats = map.stats;
-
-  Table out(left.name());
-  for (size_t c = 0; c < left.num_columns(); ++c) {
-    AF_RETURN_NOT_OK(
-        out.AddColumn(left.schema().field(c).name, left.column(c)));
-  }
-  std::vector<std::string> names = ResolveAppendedNames(left, right);
-  for (size_t c = 0; c < right.num_columns(); ++c) {
-    AF_RETURN_NOT_OK(
-        out.AddColumn(names[c], GatherColumn(right.column(c), map.right_rows)));
-  }
-  result.table = std::move(out);
+  result.table = left;
+  AF_RETURN_NOT_OK(AppendGatheredColumns(right, map.right_rows,
+                                         ResolveAppendedNames(left, right),
+                                         &result.table));
   return result;
 }
 

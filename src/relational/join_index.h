@@ -23,6 +23,7 @@
 #include "relational/join.h"
 #include "table/key_dictionary.h"
 #include "table/table.h"
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace autofeat {
@@ -48,9 +49,13 @@ struct JoinKeyIndex {
   }
 };
 
-/// Builds the index of `key`. Representatives are drawn from
-/// Rng(rep_seed), one pick per duplicated key in first-seen key order —
-/// the same stream discipline NormalizeJoinCardinality uses.
+/// Builds the index of `key`, drawing one representative per duplicated key
+/// from `rng` in first-seen key order. Join and NormalizeJoinCardinality
+/// draw through this overload.
+JoinKeyIndex BuildJoinKeyIndex(const Column& key, Rng* rng);
+
+/// The same with representatives drawn from Rng(rep_seed) — the
+/// JoinIndexCache form, whose picks are a pure function of the column.
 JoinKeyIndex BuildJoinKeyIndex(const Column& key, uint64_t rep_seed);
 
 /// \brief A composed left-join row mapping: output row i of the join reads
@@ -94,10 +99,16 @@ size_t GatherNullCountReference(const Column& src,
 std::vector<std::string> ResolveAppendedNames(const Table& left,
                                               const Table& right);
 
-/// Cardinality-normalised left join through a prebuilt index: output equals
-/// LeftJoin(left, left_key, right, ...) except that the per-key
-/// representative comes from the index (deterministic, shareable across
-/// callers) instead of a caller-supplied Rng. `index` must have been built
+/// Appends `right`'s columns to `out` gathered through `right_rows` (null
+/// where kNoMatchRow) under `names` (ResolveAppendedNames of the left side):
+/// the materialisation step of Join, LeftJoinWithIndex and the BFS frontier.
+Status AppendGatheredColumns(const Table& right,
+                             const std::vector<uint32_t>& right_rows,
+                             const std::vector<std::string>& names,
+                             Table* out);
+
+/// Cardinality-normalised left join through a prebuilt index; LeftJoin is
+/// this over BuildJoinKeyIndex(right key, rng). `index` must have been built
 /// over `right`'s join column.
 Result<JoinResult> LeftJoinWithIndex(const Table& left,
                                      const std::string& left_key,

@@ -8,35 +8,9 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/string_utils.h"
 #include "util/work_stealing_deque.h"
 
 namespace autofeat {
-
-const char* SchedulerKindName(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kForkJoin:
-      return "forkjoin";
-    case SchedulerKind::kMorsel:
-      return "morsel";
-  }
-  return "unknown";
-}
-
-bool ParseSchedulerKind(const std::string& text, SchedulerKind* out) {
-  Result<SchedulerKind> parsed = ParseScheduler(text);
-  if (!parsed.ok()) return false;
-  *out = *parsed;
-  return true;
-}
-
-Result<SchedulerKind> ParseScheduler(const std::string& text) {
-  const std::string lower = ToLower(Trim(text));
-  if (lower == "forkjoin") return SchedulerKind::kForkJoin;
-  if (lower == "morsel") return SchedulerKind::kMorsel;
-  return Status::InvalidArgument("unknown scheduler: \"" + text +
-                                 "\" (valid values: forkjoin, morsel)");
-}
 
 namespace {
 

@@ -27,10 +27,8 @@
 
 #include <cstddef>
 #include <functional>
-#include <string>
 #include <vector>
 
-#include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace autofeat {
@@ -42,17 +40,6 @@ enum class SchedulerKind {
   /// Per-lane work-stealing deques over fixed-size morsels.
   kMorsel,
 };
-
-/// "forkjoin" / "morsel" (stable CLI and log vocabulary).
-const char* SchedulerKindName(SchedulerKind kind);
-
-/// Parses the SchedulerKindName vocabulary; returns false (and leaves *out
-/// untouched) on anything else.
-bool ParseSchedulerKind(const std::string& text, SchedulerKind* out);
-
-/// Case-insensitive parse that reports the valid vocabulary in the Status
-/// on failure (the --scheduler CLI path).
-Result<SchedulerKind> ParseScheduler(const std::string& text);
 
 /// Runs `fn(i)` for every i in [begin, end) using morsel-driven work
 /// stealing: the range is cut into morsels of `morsel_size` iterations
@@ -67,26 +54,19 @@ void MorselParallelFor(ThreadPool* pool, size_t begin, size_t end,
                        size_t morsel_size,
                        const std::function<void(size_t)>& fn);
 
-/// ParallelFor dispatching on `kind`; `grain` is the chunk size for
-/// kForkJoin and the morsel size for kMorsel.
-inline void ParallelForWith(SchedulerKind kind, ThreadPool* pool,
-                            size_t begin, size_t end, size_t grain,
-                            const std::function<void(size_t)>& fn) {
-  if (kind == SchedulerKind::kMorsel) {
-    MorselParallelFor(pool, begin, end, grain, fn);
-  } else {
-    ParallelFor(pool, begin, end, grain, fn);
-  }
-}
-
 /// ParallelMap dispatching on `kind`: maps `fn` over [0, n) and returns the
-/// results in index order regardless of which lane ran which index.
+/// results in index order regardless of which lane ran which index. `grain`
+/// is the chunk size for kForkJoin and the morsel size for kMorsel.
 template <typename T, typename Fn>
 std::vector<T> ParallelMapWith(SchedulerKind kind, ThreadPool* pool, size_t n,
                                size_t grain, Fn&& fn) {
   std::vector<T> out(n);
-  ParallelForWith(kind, pool, 0, n, grain,
-                  [&](size_t i) { out[i] = fn(i); });
+  const std::function<void(size_t)> body = [&](size_t i) { out[i] = fn(i); };
+  if (kind == SchedulerKind::kMorsel) {
+    MorselParallelFor(pool, 0, n, grain, body);
+  } else {
+    ParallelFor(pool, 0, n, grain, body);
+  }
   return out;
 }
 

@@ -1,25 +1,24 @@
-// Differential property test for the join fast path: over randomized
-// synthetic lakes, discovery with join_fast_path on and off must produce
-// byte-identical ranked paths, scores and selected features, and the full
-// Augment pipeline must land on the same model accuracy. The generated
-// lakes' satellite key columns are unique (permutation subsets), so the
-// cardinality-normalisation representative is forced and the two execution
-// paths are exactly — not approximately — comparable.
+// Differential test of the engine's join path against the string-keyed
+// oracle: over randomized synthetic lakes, every ranked path that
+// MaterializeAugmentedTable produces must equal the same path chained
+// through JoinStringKeyed plus the same column selection, and Augment's
+// accuracy must equal a model trained on the oracle table of its best path.
+// The generated lakes' satellite key columns are unique (permutation
+// subsets), so the cardinality-normalisation representative is forced and
+// the two joins are exactly — not approximately — comparable.
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
+#include <unordered_set>
 
 #include "core/autofeat.h"
 #include "datagen/lake_builder.h"
 #include "discovery/data_lake.h"
-#include "support/lake_fixtures.h"
+#include "relational/join.h"
 
 namespace autofeat {
 namespace {
-
-using testsupport::RankedFingerprint;
 
 struct LakeVariant {
   uint64_t seed;
@@ -29,15 +28,34 @@ struct LakeVariant {
   bool star_schema;
 };
 
-AutoFeatConfig VariantConfig(const LakeVariant& variant, bool fast_path) {
-  AutoFeatConfig config;
-  config.seed = variant.seed;
-  config.sample_rows = 200;
-  config.join_fast_path = fast_path;
-  return config;
+// `ranked` materialised through JoinStringKeyed, keeping the base columns
+// plus the path's selected features as MaterializeAugmentedTable does.
+Result<Table> OracleAugmentedTable(const DataLake& lake,
+                                   const DatasetRelationGraph& drg,
+                                   const std::string& base_table,
+                                   const RankedPath& ranked) {
+  AF_ASSIGN_OR_RETURN(const Table* base, lake.GetTable(base_table));
+  Rng rng(0);  // Unique right keys: no representative draw consumes it.
+  Table current = *base;
+  for (const JoinStep& step : ranked.path.steps) {
+    AF_ASSIGN_OR_RETURN(const Table* right,
+                        lake.GetTable(drg.NodeName(step.to_node)));
+    AF_ASSIGN_OR_RETURN(JoinResult joined,
+                        JoinStringKeyed(current, step.from_column, *right,
+                                        step.to_column, &rng));
+    current = std::move(joined.table);
+  }
+  std::vector<std::string> keep = base->ColumnNames();
+  std::unordered_set<std::string> seen(keep.begin(), keep.end());
+  for (const auto& fs : ranked.selected_features) {
+    if (seen.insert(fs.name).second && current.HasColumn(fs.name)) {
+      keep.push_back(fs.name);
+    }
+  }
+  return current.SelectColumns(keep);
 }
 
-TEST(FastPathDifferentialTest, DiscoveryAndAugmentMatchLegacyPath) {
+TEST(OracleDifferentialTest, MaterializeAndAugmentMatchStringKeyedOracle) {
   const LakeVariant variants[] = {
       {7, 300, 4, 20, false},
       {11, 400, 6, 30, false},
@@ -58,42 +76,43 @@ TEST(FastPathDifferentialTest, DiscoveryAndAugmentMatchLegacyPath) {
     auto drg = BuildDrgFromKfk(built.lake);
     ASSERT_TRUE(drg.ok());
 
-    // Discovery: ranked paths, scores and features must be byte-identical.
-    AutoFeat fast_engine(&built.lake, &*drg,
-                         VariantConfig(variant, /*fast_path=*/true));
-    AutoFeat legacy_engine(&built.lake, &*drg,
-                           VariantConfig(variant, /*fast_path=*/false));
-    auto fast =
-        fast_engine.DiscoverFeatures(built.base_table, built.label_column);
-    auto legacy =
-        legacy_engine.DiscoverFeatures(built.base_table, built.label_column);
-    ASSERT_TRUE(fast.ok());
-    ASSERT_TRUE(legacy.ok());
-    EXPECT_GT(fast->ranked.size(), 0u);
-    EXPECT_EQ(RankedFingerprint(*fast), RankedFingerprint(*legacy));
+    AutoFeatConfig config;
+    config.seed = variant.seed;
+    config.sample_rows = 200;
+    AutoFeat engine(&built.lake, &*drg, config);
+    auto discovery =
+        engine.DiscoverFeatures(built.base_table, built.label_column);
+    ASSERT_TRUE(discovery.ok());
+    ASSERT_GT(discovery->ranked.size(), 0u);
 
-    // End to end: same best path, same augmented shape, same accuracy.
-    auto fast_aug = fast_engine.Augment(built.base_table, built.label_column,
-                                        ml::ModelKind::kKnn);
-    auto legacy_aug = legacy_engine.Augment(
-        built.base_table, built.label_column, ml::ModelKind::kKnn);
-    ASSERT_TRUE(fast_aug.ok());
-    ASSERT_TRUE(legacy_aug.ok());
-    EXPECT_EQ(fast_aug->accuracy, legacy_aug->accuracy);
-    EXPECT_EQ(fast_aug->augmented.num_columns(),
-              legacy_aug->augmented.num_columns());
-    EXPECT_EQ(fast_aug->augmented.ColumnNames(),
-              legacy_aug->augmented.ColumnNames());
-    std::ostringstream fast_path_str, legacy_path_str;
-    for (const JoinStep& s : fast_aug->best_path.path.steps) {
-      fast_path_str << s.from_node << "." << s.from_column << ">" << s.to_node
-                    << ";";
+    for (size_t i = 0; i < discovery->ranked.size(); ++i) {
+      SCOPED_TRACE("ranked path " + std::to_string(i));
+      const RankedPath& ranked = discovery->ranked[i];
+      auto materialized = engine.MaterializeAugmentedTable(
+          built.base_table, ranked, built.label_column);
+      auto oracle =
+          OracleAugmentedTable(built.lake, *drg, built.base_table, ranked);
+      ASSERT_TRUE(materialized.ok());
+      ASSERT_TRUE(oracle.ok());
+      EXPECT_TRUE(materialized->Equals(*oracle));
     }
-    for (const JoinStep& s : legacy_aug->best_path.path.steps) {
-      legacy_path_str << s.from_node << "." << s.from_column << ">"
-                      << s.to_node << ";";
-    }
-    EXPECT_EQ(fast_path_str.str(), legacy_path_str.str());
+
+    // End to end: Augment's accuracy is the model trained on the oracle
+    // table of its best path (the bare base table when no path won).
+    auto augmented =
+        engine.Augment(built.base_table, built.label_column,
+                       ml::ModelKind::kKnn);
+    ASSERT_TRUE(augmented.ok());
+    auto oracle = OracleAugmentedTable(built.lake, *drg, built.base_table,
+                                       augmented->best_path);
+    ASSERT_TRUE(oracle.ok());
+    EXPECT_TRUE(augmented->augmented.Equals(*oracle));
+    ml::TrainerOptions trainer_options;
+    trainer_options.seed = config.seed;
+    auto expected = ml::TrainAndEvaluate(*oracle, built.label_column,
+                                         ml::ModelKind::kKnn, trainer_options);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(augmented->accuracy, expected->accuracy);
   }
 }
 

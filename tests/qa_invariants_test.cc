@@ -9,6 +9,8 @@
 #include <set>
 #include <string>
 
+#include "discovery/data_lake.h"
+#include "obs/metrics.h"
 #include "qa/invariants.h"
 #include "qa/lake_fuzzer.h"
 
@@ -146,6 +148,40 @@ TEST(InvariantRegressionTest, EmptyJoinLakePassesWholeRegistry) {
     Status status = inv.check(fz);
     EXPECT_TRUE(status.ok()) << inv.name << ": " << status.ToString();
   }
+}
+
+// cache.eviction_oblivious proves nothing about the join-index cache if no
+// budget it runs under ever evicts. Over the default fuzz campaign's first
+// 50 seeds, Discover at one of its budgets must evict at least once.
+TEST(EvictionStressBudgetsTest, JoinIndexBudgetEvictsOnDefaultFuzzedLakes) {
+  LakeFuzzer fuzzer;
+  size_t evicting_lakes = 0;
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    FuzzedLake fz = fuzzer.Generate(seed);
+    auto drg = BuildDrgFromKfk(fz.lake);
+    ASSERT_TRUE(drg.ok());
+    auto discover = [&](size_t budget_bytes, obs::MetricsRegistry* metrics) {
+      AutoFeatConfig config = FuzzDiscoveryConfig(fz, 1);
+      config.metrics_enabled = true;
+      config.metrics = metrics;
+      config.memory_budget_bytes = budget_bytes;
+      AutoFeat engine(&fz.lake, &*drg, config);
+      return engine.DiscoverFeatures(fz.base_table, fz.label_column).status();
+    };
+    obs::MetricsRegistry unbudgeted;
+    ASSERT_TRUE(discover(0, &unbudgeted).ok());
+    size_t footprint = static_cast<size_t>(
+        unbudgeted.GaugeValue("join_index_cache.bytes_peak"));
+    for (size_t budget : EvictionStressBudgets(footprint)) {
+      obs::MetricsRegistry budgeted;
+      ASSERT_TRUE(discover(budget, &budgeted).ok());
+      if (budgeted.CounterValue("join_index_cache.evictions") > 0) {
+        ++evicting_lakes;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(evicting_lakes, 0u);
 }
 
 TEST(DiscoveryFingerprintTest, EncodesScoresPathsAndFeatures) {

@@ -16,31 +16,6 @@
 namespace autofeat {
 namespace {
 
-TEST(SchedulerKindTest, NamesAndParsingRoundTrip) {
-  EXPECT_STREQ("forkjoin", SchedulerKindName(SchedulerKind::kForkJoin));
-  EXPECT_STREQ("morsel", SchedulerKindName(SchedulerKind::kMorsel));
-  SchedulerKind kind = SchedulerKind::kForkJoin;
-  EXPECT_TRUE(ParseSchedulerKind("morsel", &kind));
-  EXPECT_EQ(SchedulerKind::kMorsel, kind);
-  EXPECT_TRUE(ParseSchedulerKind("forkjoin", &kind));
-  EXPECT_EQ(SchedulerKind::kForkJoin, kind);
-  EXPECT_FALSE(ParseSchedulerKind("steal", &kind));
-  EXPECT_EQ(SchedulerKind::kForkJoin, kind) << "failed parse must not write";
-}
-
-TEST(SchedulerKindTest, ParseSchedulerNormalisesCaseAndReportsValidValues) {
-  EXPECT_EQ(*ParseScheduler("Morsel"), SchedulerKind::kMorsel);
-  EXPECT_EQ(*ParseScheduler(" FORKJOIN "), SchedulerKind::kForkJoin);
-  Result<SchedulerKind> bad = ParseScheduler("steal");
-  ASSERT_FALSE(bad.ok());
-  EXPECT_NE(bad.status().message().find("valid values: forkjoin, morsel"),
-            std::string::npos)
-      << bad.status().message();
-  SchedulerKind kind = SchedulerKind::kMorsel;
-  EXPECT_TRUE(ParseSchedulerKind("MoRsEl", &kind));
-  EXPECT_EQ(SchedulerKind::kMorsel, kind);
-}
-
 TEST(WorkStealingDequeTest, OwnerLifoThiefFifo) {
   WorkStealingDeque dq(8);
   for (size_t v : {10, 11, 12, 13}) ASSERT_TRUE(dq.PushBottom(v));
@@ -239,7 +214,8 @@ TEST(ParallelMapWithTest, BothKindsProduceIdenticalIndexOrderedResults) {
       ThreadPool pool(threads);
       std::vector<double> got =
           ParallelMapWith<double>(kind, &pool, want.size(), 1, body);
-      EXPECT_EQ(want, got) << SchedulerKindName(kind) << " threads=" << threads;
+      EXPECT_EQ(want, got) << "kind=" << static_cast<int>(kind)
+                           << " threads=" << threads;
     }
   }
 }

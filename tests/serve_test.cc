@@ -308,28 +308,23 @@ TEST(LakeServiceObsTest, ReplayedSequencesGiveByteIdenticalObservability) {
   EXPECT_EQ(lineage1, lineage8);
 }
 
-TEST(LakeServiceObsTest, QueryDigestIsInvariantAcrossThreadsAndSchedulers) {
+TEST(LakeServiceObsTest, QueryDigestIsInvariantAcrossThreads) {
   // A query's deterministic obs digest is a pure function of the snapshot
-  // state: identical across thread counts and both schedulers.
+  // state: identical across thread counts.
   std::vector<std::string> digests;
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (SchedulerKind scheduler :
-         {SchedulerKind::kForkJoin, SchedulerKind::kMorsel}) {
-      ServeOptions options;
-      options.config.num_threads = threads;
-      options.config.scheduler = scheduler;
-      std::unique_ptr<LakeService> service =
-          MakeService(testsupport::MakeOrdersCustomersLake(), options);
-      ASSERT_TRUE(service->AddTable(MakeCustSatellite("regions", 0)).ok());
-      obs::MetricsRegistry query_metrics;
-      obs::Tracer query_tracer;
-      ASSERT_TRUE(service
-                      ->Discover("orders", "amount",
-                                 &query_metrics, &query_tracer)
-                      .ok());
-      digests.push_back(
-          obs::DeterministicDigest(query_metrics, &query_tracer));
-    }
+    ServeOptions options;
+    options.config.num_threads = threads;
+    std::unique_ptr<LakeService> service =
+        MakeService(testsupport::MakeOrdersCustomersLake(), options);
+    ASSERT_TRUE(service->AddTable(MakeCustSatellite("regions", 0)).ok());
+    obs::MetricsRegistry query_metrics;
+    obs::Tracer query_tracer;
+    ASSERT_TRUE(service
+                    ->Discover("orders", "amount",
+                               &query_metrics, &query_tracer)
+                    .ok());
+    digests.push_back(obs::DeterministicDigest(query_metrics, &query_tracer));
   }
   for (const std::string& digest : digests) {
     EXPECT_EQ(digest, digests.front());
